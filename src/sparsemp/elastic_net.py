@@ -4,15 +4,20 @@ The objective, in its unscaled form, is
 
     F(W) = ||Y - Phi W||_F^2 + lambda1 ||W||_21 + lambda2 ||PhiAcc W||_F^2.
 
-Stacking [Phi; sqrt(lambda2) PhiAcc] over [Y; 0] absorbs the acceleration
-penalty into the squared loss, leaving a multi-task lasso solved by cyclic
-block coordinate descent with the group soft-threshold update. Optimality
-is certified through the KKT residual.
+Stacking Phi_a = [Phi; sqrt(lambda2) PhiAcc] over Y_a = [Y; 0] absorbs the
+acceleration penalty into the squared loss, leaving a multi-task lasso. It
+is solved in covariance form (glmnet's "covariance updates"): block
+coordinate descent and the optimality certificate only ever need the Gram
+matrix G = Phi_a^T Phi_a (p x p), the correlations C = Phi_a^T Y_a and the
+energy ||Y_a||^2, so the solver carries G W in place of the residual and no
+step touches a row of the design.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +39,11 @@ class EmptyModelError(RuntimeError):
 
 @dataclass(frozen=True)
 class AugmentedProblem:
-    """Design [Phi; sqrt(lambda2) PhiAcc] with target [Y; 0]."""
+    """Design [Phi; sqrt(lambda2) PhiAcc] with target [Y; 0].
+
+    The Gram-form quantities are computed on first use and then shared by
+    every solve on the problem, so the arrays must not change afterwards.
+    """
 
     phi_a: np.ndarray
     y_a: np.ndarray
@@ -47,6 +56,21 @@ class AugmentedProblem:
     @property
     def n_tasks(self) -> int:
         return self.y_a.shape[1]
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = Phi_a^T Phi_a, exactly symmetric."""
+        return self.phi_a.T @ self.phi_a
+
+    @cached_property
+    def corr(self) -> np.ndarray:
+        """C = Phi_a^T Y_a, one row per feature."""
+        return self.phi_a.T @ self.y_a
+
+    @cached_property
+    def energy(self) -> float:
+        """||Y_a||_F^2, the loss of the all-zero model."""
+        return float(np.sum(self.y_a ** 2))
 
 
 def to_lasso(
@@ -73,8 +97,7 @@ def lambda_max(prob: AugmentedProblem) -> float:
     KKT at W = 0 for the unscaled objective requires
     ||2 phi_j^T Y_a||_2 <= lambda1 for every feature j.
     """
-    corr = prob.phi_a.T @ prob.y_a
-    return float(2.0 * np.max(np.linalg.norm(corr, axis=1), initial=0.0))
+    return float(2.0 * np.max(np.linalg.norm(prob.corr, axis=1), initial=0.0))
 
 
 def objective(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
@@ -83,34 +106,27 @@ def objective(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
     return float(np.sum(resid ** 2) + lambda1 * np.sum(np.linalg.norm(W, axis=1)))
 
 
-def _kkt_residuals(
-    prob: AugmentedProblem, lambda1: float, W: np.ndarray
-) -> np.ndarray:
-    """Per-feature blockwise stationarity residuals."""
-    G = 2.0 * prob.phi_a.T @ (prob.phi_a @ W - prob.y_a)
+def _certificate(
+    prob: AugmentedProblem, lambda1: float, W: np.ndarray, GW: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """Per-feature KKT residuals, duality gap and primal value at W.
+
+    With R = Y_a - Phi_a W, everything follows from D = Phi_a^T R = C - GW:
+    the gradient of the loss is -2D and ||R||^2 = ||Y_a||^2 - <W, C + D>.
+    The dual point is the scaled residual 2cR with c chosen to make it
+    feasible (||phi_j^T (2cR)||_2 <= lambda1 for every j); using
+    <R, Y_a> = ||R||^2 + <W, D>, its gap is
+    (1 - c)^2 ||R||^2 + lambda1 ||W||_21 - 2c <W, D>, which keeps the
+    cancellation against ||Y_a||^2 out of the gap as c approaches 1.
+    """
+    D = prob.corr - GW
+    corr = np.linalg.norm(D, axis=1)
     row_norms = np.linalg.norm(W, axis=1)
     active = row_norms > 0
-    v = np.maximum(0.0, np.linalg.norm(G, axis=1) - lambda1)
+    viol = np.maximum(0.0, 2.0 * corr - lambda1)
     if np.any(active):
-        Ga = G[active] + lambda1 * W[active] / row_norms[active, None]
-        v[active] = np.linalg.norm(Ga, axis=1)
-    return v
-
-
-def kkt_violation(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
-    """Max blockwise stationarity residual; 0 at an exact optimum."""
-    v = _kkt_residuals(prob, lambda1, W)
-    return float(np.max(v, initial=0.0))
-
-
-def dual_gap(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
-    """Duality gap of the multi-task lasso; upper-bounds F(W) - F(W*).
-
-    The dual point is the scaled residual 2cR with c chosen to make it
-    feasible (||phi_j^T (2cR)||_2 <= lambda1 for every j).
-    """
-    R = prob.y_a - prob.phi_a @ W
-    corr = np.linalg.norm(prob.phi_a.T @ R, axis=1)
+        Ga = lambda1 * W[active] / row_norms[active, None] - 2.0 * D[active]
+        viol[active] = np.linalg.norm(Ga, axis=1)
     top = float(np.max(2.0 * corr, initial=0.0))
     if top <= lambda1:
         c = 1.0
@@ -118,10 +134,22 @@ def dual_gap(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
         c = 0.0
     else:
         c = lambda1 / top
-    r2 = float(np.sum(R ** 2))
-    primal = r2 + lambda1 * float(np.sum(np.linalg.norm(W, axis=1)))
-    dual = 2.0 * c * float(np.sum(R * prob.y_a)) - c * c * r2
-    return max(0.0, primal - dual)
+    r2 = max(0.0, prob.energy - float(np.sum(W * (prob.corr + D))))
+    penalty = lambda1 * float(np.sum(row_norms))
+    gap = (1.0 - c) ** 2 * r2 + penalty - 2.0 * c * float(np.sum(W * D))
+    return viol, max(0.0, gap), r2 + penalty
+
+
+def kkt_violation(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
+    """Max blockwise stationarity residual; 0 at an exact optimum."""
+    viol, _, _ = _certificate(prob, lambda1, W, prob.gram @ W)
+    return float(np.max(viol, initial=0.0))
+
+
+def dual_gap(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
+    """Duality gap of the multi-task lasso; upper-bounds F(W) - F(W*)."""
+    _, gap, _ = _certificate(prob, lambda1, W, prob.gram @ W)
+    return gap
 
 
 def solve(
@@ -131,12 +159,14 @@ def solve(
     max_sweeps: int = 10_000,
     warm_start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Block coordinate descent with group soft-thresholding.
+    """Block coordinate descent with group soft-thresholding, in Gram form.
 
-    Blocks are whole coefficient rows (one feature across all tasks).
-    Cyclic sweeps run over a working set grown by worst KKT violation, so
-    the expensive full-design pass reduces to one vectorized gradient; an
-    IRLS jump accelerates near-duplicate designs. Returns once the KKT
+    Blocks are whole coefficient rows (one feature across all tasks). The
+    update of row j needs only phi_j^T R = C[j] - (G W)[j], so the solver
+    keeps GW (p x m) current instead of the residual and a block update
+    costs O(p m), independent of the number of design rows. Cyclic sweeps
+    run over a working set grown by worst KKT violation; an IRLS jump on
+    G[A, A] accelerates near-duplicate designs. Returns once the KKT
     residual certifies the iterate (kkt_violation <= 10 tol) or the
     duality gap drops below tol scale; degenerate designs where neither
     certificate is attainable fall back to a sqrt(tol)-scale gap bound
@@ -144,7 +174,6 @@ def solve(
     """
     if lambda1 < 0:
         raise ValueError("lambda1 must be nonnegative")
-    phi = prob.phi_a
     p, m = prob.n_features, prob.n_tasks
     if warm_start is not None:
         W = np.array(warm_start, dtype=float)
@@ -153,27 +182,30 @@ def solve(
     else:
         W = np.zeros((p, m))
 
-    col_sq = np.sum(phi ** 2, axis=0)
-    R = prob.y_a - phi @ W
+    G, C = prob.gram, prob.corr
+    col_sq = np.diagonal(G).tolist()
+    GW = G @ W
 
     def sweep(indices) -> float:
-        nonlocal R
+        nonlocal GW
         max_change = 0.0
         for j in indices:
-            if col_sq[j] == 0.0:
+            g_jj = col_sq[j]
+            if g_jj == 0.0:
                 continue
-            w_old = W[j].copy()
-            z = phi[:, j] @ R + col_sq[j] * w_old
-            zn = np.linalg.norm(z)
+            w_old = W[j]
+            z = C[j] - GW[j] + g_jj * w_old
+            zn = math.sqrt(z @ z)
             if zn > 0.0:
                 scale = max(0.0, 1.0 - lambda1 / (2.0 * zn))
             else:
                 scale = 0.0
-            w_new = (z / col_sq[j]) * scale
+            w_new = z * (scale / g_jj)
             delta = w_new - w_old
-            change = np.max(np.abs(delta))
+            change = float(np.abs(delta).max())
             if change > 0.0:
-                R -= np.outer(phi[:, j], delta)
+                # G is symmetric, so its contiguous row j is column j.
+                GW += G[j, :, None] * delta
                 W[j] = w_new
                 max_change = max(max_change, change)
         return max_change
@@ -184,30 +216,37 @@ def solve(
         # iteratively reweighted least squares jumps straight to its optimum.
         # Only descent steps are accepted, and the surrounding full sweeps
         # still certify optimality, so the minimizer is unchanged.
-        nonlocal R
         for _ in range(max_inner):
-            act = np.flatnonzero(np.linalg.norm(W, axis=1) > 0)
+            row_norms = np.linalg.norm(W, axis=1)
+            act = np.flatnonzero(row_norms > 0)
             if act.size == 0:
                 return
-            phi_s = phi[:, act]
-            norms = np.linalg.norm(W[act], axis=1)
-            A = phi_s.T @ phi_s + np.diag(lambda1 / (2.0 * norms))
+            norms = row_norms[act]
+            G_act = G[act]
+            A = G_act[:, act] + np.diag(lambda1 / (2.0 * norms))
             try:
-                W_s = np.linalg.solve(A, phi_s.T @ prob.y_a)
+                W_s = np.linalg.solve(A, C[act])
             except np.linalg.LinAlgError:
                 return
-            f_old = np.sum(R ** 2) + lambda1 * np.sum(np.linalg.norm(W, axis=1))
-            W_trial = W.copy()
-            W_trial[act] = W_s
-            R_trial = prob.y_a - phi @ W_trial
-            f_new = np.sum(R_trial ** 2) + lambda1 * np.sum(
-                np.linalg.norm(W_trial, axis=1)
+            W_act = W[act]
+            delta = W_s - W_act
+            GW_trial = GW + G_act.T @ delta
+            # With D = C - GW, F(W) = ||Y_a||^2 - <W, C + D> + penalty, and
+            # F(W + delta) - F(W) = -<delta, D + D_trial> + penalty change is
+            # differenced directly rather than through ||Y_a||^2. Zero rows of
+            # W drop out of every inner product.
+            twice_c = 2.0 * C[act]
+            penalty = lambda1 * float(np.sum(norms))
+            f_old = prob.energy - float(np.sum(W_act * (twice_c - GW[act]))) + penalty
+            f_change = (
+                lambda1 * float(np.sum(np.linalg.norm(W_s, axis=1))) - penalty
+                - float(np.sum(delta * (twice_c - GW[act] - GW_trial[act])))
             )
-            if f_new >= f_old - 1e-15 * (1.0 + abs(f_old)):
+            if f_change >= -1e-15 * (1.0 + abs(f_old)):
                 return
-            step = np.max(np.abs(W_trial[act] - W[act]))
+            step = np.max(np.abs(delta))
             W[act] = W_s
-            R = R_trial
+            GW[...] = GW_trial
             if step <= tol:
                 return
 
@@ -219,24 +258,10 @@ def solve(
         decrease, which is what callers actually depend on. Returns the
         verdict along with the current gap and primal value.
         """
-        corr = np.linalg.norm(phi.T @ R, axis=1)
-        row_norms = np.linalg.norm(W, axis=1)
-        active = row_norms > 0
-        G = -2.0 * (phi.T @ R) if np.any(active) else None
-        viol = np.maximum(0.0, 2.0 * corr - lambda1)
-        if G is not None:
-            Ga = G[active] + lambda1 * W[active] / row_norms[active, None]
-            viol[active] = np.linalg.norm(Ga, axis=1)
-        top = float(np.max(2.0 * corr, initial=0.0))
-        if top <= lambda1:
-            c = 1.0
-        elif lambda1 == 0.0:
-            c = 0.0
-        else:
-            c = lambda1 / top
-        r2 = float(np.sum(R ** 2))
-        primal = r2 + lambda1 * float(np.sum(row_norms))
-        gap = primal - (2.0 * c * float(np.sum(R * prob.y_a)) - c * c * r2)
+        # Re-derive GW so the certificate carries no drift from the
+        # incremental updates and agrees with kkt_violation and dual_gap.
+        np.matmul(G, W, out=GW)
+        viol, gap, primal = _certificate(prob, lambda1, W, GW)
         worst = int(np.argmax(viol)) if viol.size else 0
         if viol.size == 0 or viol[worst] <= 10.0 * tol:
             return True, gap, primal
@@ -256,8 +281,7 @@ def solve(
     if not work:
         # Seed with the most correlated feature so the first cycle has
         # something to sweep over.
-        corr0 = np.linalg.norm(phi.T @ prob.y_a, axis=1)
-        work = [int(np.argmax(corr0))]
+        work = [int(np.argmax(np.linalg.norm(C, axis=1)))]
 
     # Near-duplicate columns can make the last feature enter at a
     # geometric crawl that never reaches the strict certificate within any

@@ -93,21 +93,14 @@ class StackedRbfParams:
         return StackedRbfParams(per_dof=[params.select(keep) for params in self.per_dof])
 
 
-def _check_params(params: RbfParams) -> None:
-    if np.any(params.sigma2 < SIGMA2_MIN):
-        raise ValueError(f"width below sigma2_min={SIGMA2_MIN}")
-
-
 def eval_basis(t: np.ndarray, params: RbfParams) -> np.ndarray:
     """N x p matrix of kernel evaluations."""
-    _check_params(params)
     u = np.asarray(t, dtype=float)[:, None] - params.mu[None, :]
     return np.exp(-(u ** 2) / (2.0 * params.sigma2[None, :]))
 
 
 def eval_basis_accel(t: np.ndarray, params: RbfParams) -> np.ndarray:
     """Analytic second time derivative of eval_basis."""
-    _check_params(params)
     u = np.asarray(t, dtype=float)[:, None] - params.mu[None, :]
     s2 = params.sigma2[None, :]
     phi = np.exp(-(u ** 2) / (2.0 * s2))
@@ -122,7 +115,6 @@ def eval_basis_param_grads(
     Returns (dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2), each N x p;
     column j depends only on feature j's parameters.
     """
-    _check_params(params)
     u = np.asarray(t, dtype=float)[:, None] - params.mu[None, :]
     s2 = params.sigma2[None, :]
     phi = np.exp(-(u ** 2) / (2.0 * s2))

@@ -74,60 +74,6 @@ def compute_path(
     )
 
 
-def path_sweep_count(
-    prob: AugmentedProblem,
-    n_lambdas: int = 100,
-    ratio: float = 1e-3,
-    tol: float = 1e-8,
-    max_sweeps: int = 10_000,
-    warm: bool = True,
-) -> int:
-    """Total coordinate-descent sweeps spent traversing the grid.
-
-    With warm=False every grid point is solved from scratch; used to verify
-    that warm starts pay off.
-    """
-    lam_max = elastic_net.lambda_max(prob)
-    lambdas = np.geomspace(lam_max, ratio * lam_max, n_lambdas)
-    total = 0
-    W = None
-    for lam in lambdas:
-        start = W if warm else None
-        W, n = _instrumented_solve(prob, lam, tol, max_sweeps, start)
-        total += n
-    return total
-
-
-def _instrumented_solve(prob, lambda1, tol, max_sweeps, warm_start):
-    """elastic_net.solve with a sweep counter (same update rule)."""
-    phi = prob.phi_a
-    p, m = prob.n_features, prob.n_tasks
-    W = np.zeros((p, m)) if warm_start is None else np.array(warm_start, dtype=float)
-    col_sq = np.sum(phi ** 2, axis=0)
-    R = prob.y_a - phi @ W
-    sweeps = 0
-    while sweeps < max_sweeps:
-        max_change = 0.0
-        for j in range(p):
-            if col_sq[j] == 0.0:
-                continue
-            w_old = W[j].copy()
-            z = phi[:, j] @ R + col_sq[j] * w_old
-            zn = np.linalg.norm(z)
-            scale = max(0.0, 1.0 - lambda1 / (2.0 * zn)) if zn > 0 else 0.0
-            w_new = (z / col_sq[j]) * scale
-            delta = w_new - w_old
-            change = np.max(np.abs(delta))
-            if change > 0.0:
-                R -= np.outer(phi[:, j], delta)
-                W[j] = w_new
-                max_change = max(max_change, change)
-        sweeps += 1
-        if max_change <= tol:
-            break
-    return W, sweeps
-
-
 def rank_features(path: PathResult) -> FeatureRanking:
     """Order the features active at the smallest penalty by entry penalty."""
     final_active = path.active_sets[-1]

@@ -303,7 +303,6 @@ def _fit(
             W, params = elastic_net.prune(W, params, config.tol_prune)
         except EmptyModelError as err:
             raise EmptyModelError(f"{err} (iteration {k})") from err
-        Phi, PhiAcc = rbf.build_basis(t, params)
 
         f_prev, r_prev = f_k, r_k
         if converged:
@@ -425,13 +424,8 @@ def evaluate(
     in the metadata is reported.
     """
     recon = reconstruct(prim, t)
-    if prim.mode == "lsdp":
-        _, PhiAcc = rbf.build_basis(t, prim.rbf_params)
-        acc = PhiAcc @ prim.W
-    else:
-        _, PhiAcc = rbf.build_basis(t, prim.rbf_params)
-        acc = PhiAcc @ prim.W
-    acc_norm = float(np.linalg.norm(acc))
+    _, PhiAcc = rbf.build_basis(t, prim.rbf_params)
+    acc_norm = float(np.linalg.norm(PhiAcc @ prim.W))
     nnz = int(np.count_nonzero(prim.W))
     if reference is not None:
         reference = np.asarray(reference, dtype=float)

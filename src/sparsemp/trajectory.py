@@ -141,12 +141,6 @@ def center(traj: JointTrajectory) -> CenteredData:
     return CenteredData(intercepts=intercepts, centered=traj.Q - intercepts)
 
 
-def center_matrix(Y: np.ndarray) -> CenteredData:
-    """Column-center an arbitrary matrix (used for stacked per-DoF blocks)."""
-    intercepts = Y.mean(axis=0)
-    return CenteredData(intercepts=intercepts, centered=Y - intercepts)
-
-
 def center_stacked(stacked: StackedData) -> tuple[np.ndarray, StackedData]:
     """Center each DoF block of each demo column independently.
 

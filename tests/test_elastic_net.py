@@ -2,6 +2,8 @@ from itertools import chain, combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemp import elastic_net
 from sparsemp.elastic_net import (
@@ -287,3 +289,111 @@ class TestPrune:
         params = RbfParams(mu=np.array([0.1]), sigma2=np.array([0.01]))
         with pytest.raises(ValueError):
             prune(np.zeros((2, 2)), params, 1e-10)
+
+
+def residual_certificate(prob: AugmentedProblem, lambda1: float, W: np.ndarray):
+    """KKT violation, duality gap and objective from the explicit residual.
+
+    R = y_a - phi_a W; the loss gradient is -2 phi_a^T R and the dual point
+    is 2cR, scaled so that ||phi_j^T (2cR)|| <= lambda1 for every j.
+    """
+    R = prob.y_a - prob.phi_a @ W
+    grad = -2.0 * prob.phi_a.T @ R
+    norms = np.linalg.norm(W, axis=1)
+    viol = np.maximum(0.0, np.linalg.norm(grad, axis=1) - lambda1)
+    act = norms > 0
+    viol[act] = np.linalg.norm(grad[act] + lambda1 * W[act] / norms[act, None], axis=1)
+    r2 = float(np.sum(R ** 2))
+    primal = r2 + lambda1 * float(np.sum(norms))
+    top = float(np.max(np.linalg.norm(grad, axis=1), initial=0.0))
+    c = 1.0 if top <= lambda1 else (0.0 if lambda1 == 0.0 else lambda1 / top)
+    dual = 2.0 * c * float(np.sum(R * prob.y_a)) - c * c * r2
+    return float(np.max(viol, initial=0.0)), max(0.0, primal - dual), primal
+
+
+@st.composite
+def problems(draw, zero_column=False):
+    """Random augmented problem; optionally one all-zero design column."""
+    N = draw(st.integers(1, 12))
+    p = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    lambda2 = draw(st.sampled_from([0.0, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    phi = rng.standard_normal((N, p))
+    acc = rng.standard_normal((N, p))
+    if zero_column:
+        k = draw(st.integers(0, p - 1))
+        phi[:, k] = 0.0
+        acc[:, k] = 0.0
+    return to_lasso(phi, acc, rng.standard_normal((N, m)), lambda2)
+
+
+@st.composite
+def coefficients(draw, prob: AugmentedProblem, zero_rows=False):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.standard_normal((prob.n_features, prob.n_tasks))
+    if zero_rows:
+        W[draw(st.lists(st.integers(0, prob.n_features - 1), min_size=1))] = 0.0
+    return W
+
+
+def assert_matches_residual_oracle(prob, lambda1, W):
+    """Gram-form certificate and objective agree with the residual form up
+    to round-off at the scale of the terms they cancel."""
+    kkt, gap, primal = residual_certificate(prob, lambda1, W)
+    size = np.linalg.norm(prob.y_a) + np.linalg.norm(prob.phi_a) * np.linalg.norm(W)
+    loss_tol = 1e-9 * (1.0 + size ** 2 + lambda1 * np.sum(np.abs(W)))
+    grad_tol = 1e-9 * (1.0 + np.linalg.norm(prob.phi_a) * size + lambda1)
+    assert kkt_violation(prob, lambda1, W) == pytest.approx(kkt, abs=grad_tol)
+    assert dual_gap(prob, lambda1, W) == pytest.approx(gap, abs=loss_tol)
+    assert objective(prob, lambda1, W) == pytest.approx(primal, abs=loss_tol)
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestGramFormProperties:
+    @PROPERTY
+    @given(st.data())
+    def test_unpenalized(self, data):
+        prob = data.draw(problems())
+        assert_matches_residual_oracle(prob, 0.0, data.draw(coefficients(prob)))
+
+    @PROPERTY
+    @given(st.data(), st.floats(1.0, 4.0))
+    def test_above_lambda_max(self, data, factor):
+        prob = data.draw(problems())
+        lam = factor * lambda_max(prob)
+        assert_matches_residual_oracle(prob, lam, data.draw(coefficients(prob)))
+        zero = np.zeros((prob.n_features, prob.n_tasks))
+        assert_matches_residual_oracle(prob, lam, zero)
+        assert np.all(solve(prob, lam) == 0.0)
+
+    @PROPERTY
+    @given(st.data(), st.floats(0.01, 1.5))
+    def test_zero_rows(self, data, fraction):
+        prob = data.draw(problems())
+        W = data.draw(coefficients(prob, zero_rows=True))
+        assert_matches_residual_oracle(prob, fraction * lambda_max(prob), W)
+
+    @PROPERTY
+    @given(st.data(), st.floats(0.0, 1.5))
+    def test_zero_column(self, data, fraction):
+        prob = data.draw(problems(zero_column=True))
+        lam = fraction * lambda_max(prob)
+        assert_matches_residual_oracle(prob, lam, data.draw(coefficients(prob)))
+        dead = np.flatnonzero(np.all(prob.phi_a == 0.0, axis=0))
+        assert np.all(solve(prob, lam, tol=1e-8)[dead] == 0.0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        st.integers(8, 16), st.integers(1, 4), st.integers(1, 3),
+        st.integers(0, 2**32 - 1), st.floats(0.05, 0.9),
+    )
+    def test_solve_within_gap_of_brute_force(self, N, p, m, seed, fraction):
+        prob = random_problem(N=N, p=p, m=m, seed=seed, lambda2=0.1)
+        lam = fraction * lambda_max(prob)
+        W = solve(prob, lam, tol=1e-10)
+        f_oracle = brute_force_objective(prob, lam)
+        slack = 1e-9 * (1.0 + f_oracle)
+        assert objective(prob, lam, W) - f_oracle <= dual_gap(prob, lam, W) + slack

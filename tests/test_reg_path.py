@@ -3,12 +3,7 @@ import pytest
 
 from sparsemp import elastic_net, reg_path
 from sparsemp.elastic_net import AugmentedProblem, lambda_max, to_lasso
-from sparsemp.reg_path import (
-    compute_path,
-    path_row_norms,
-    path_sweep_count,
-    rank_features,
-)
+from sparsemp.reg_path import compute_path, path_row_norms, rank_features
 
 
 def random_problem(N=20, p=5, m=2, seed=0):
@@ -89,10 +84,15 @@ class TestComputePath:
             compute_path(prob, ratio=1.5)
 
     def test_warm_starts_save_sweeps(self):
+        # A sweep budget the warm-started path traverses within, but that a
+        # solve from zero at some grid point exhausts.
         prob = random_problem(N=40, p=8, m=3, seed=5)
-        warm = path_sweep_count(prob, n_lambdas=30, ratio=1e-2, warm=True)
-        cold = path_sweep_count(prob, n_lambdas=30, ratio=1e-2, warm=False)
-        assert warm < cold
+        budget = 15
+        path = compute_path(prob, n_lambdas=30, ratio=1e-2, max_sweeps=budget)
+        assert len(path.coefs) == 30
+        with pytest.raises(elastic_net.ConvergenceError):
+            for lam in path.lambdas:
+                elastic_net.solve(prob, lam, max_sweeps=budget)
 
 
 class TestRankFeatures:
