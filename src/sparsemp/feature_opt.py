@@ -4,6 +4,12 @@ Minimizes ||Y - Phi(theta) W||_F^2 + lambda2 ||PhiAcc(theta) W||_F^2 over
 theta = (centers, log squared widths) with dense BFGS and a strong-Wolfe
 line search. The sparsity penalty does not depend on theta and is added
 back by the caller when reporting total cost.
+
+Each cost/gradient evaluation covers all DoF blocks with one batched kernel
+call (`rbf.basis_and_partials`), and `FeatureObjective` keeps the last
+evaluated point, so the line search's separate cost and gradient requests
+at one trial point, and the re-evaluation at the accepted point, cost one
+kernel evaluation. The inverse-Hessian update is the O(dim^2) rank-two form.
 """
 
 from __future__ import annotations
@@ -13,36 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import line_search as _wolfe_line_search
-from scipy.optimize._linesearch import LineSearchWarning
 
-from .rbf import SIGMA2_MIN, RbfParams, StackedRbfParams
+from .rbf import SIGMA2_MIN, RbfParams, StackedRbfParams, basis_and_partials
 
 CURVATURE_EPS = 1e-12
 LOG_S2_MAX = 50.0  # keeps exp() finite; widths this large are already flat
-
-
-def _kernel_pieces(t, mu, s2):
-    """Raw kernel matrices for one DoF block; s2 floored at SIGMA2_MIN.
-
-    Returns (phi, acc, dphi_dmu, dphi_dlogs, dacc_dmu, dacc_dlogs, mask)
-    where mask zeroes the log-width derivative wherever the floor binds.
-    """
-    s2_raw = s2
-    s2 = np.clip(s2, SIGMA2_MIN, np.exp(LOG_S2_MAX))
-    mask = (s2_raw == s2).astype(float)
-    u = t[:, None] - mu[None, :]
-    s2 = s2[None, :]
-    phi = np.exp(-(u ** 2) / (2.0 * s2))
-    g = u ** 2 / s2 ** 2 - 1.0 / s2
-    acc = phi * g
-    dphi_dmu = phi * (u / s2)
-    dphi_dlogs = phi * (u ** 2 / (2.0 * s2)) * mask[None, :]
-    dacc_dmu = phi * (u / s2 * g - 2.0 * u / s2 ** 2)
-    dacc_dlogs = (
-        phi * (u ** 2 / (2.0 * s2) * g - 2.0 * u ** 2 / s2 ** 2 + 1.0 / s2)
-        * mask[None, :]
-    )
-    return phi, acc, dphi_dmu, dphi_dlogs, dacc_dmu, dacc_dlogs
+# Messages of scipy's line-search warnings; a failed search is handled as
+# a terminal state, so they only add noise.
+_LINE_SEARCH_WARNINGS = r"(The line search algorithm|Rounding errors prevent the line search)"
 
 
 class FeatureObjective:
@@ -50,7 +34,8 @@ class FeatureObjective:
 
     Handles both the flat layout (one parameter set shared by all DoFs,
     tasks = DoF columns of Y) and the stacked layout (one set per DoF,
-    DoF-major row blocks of Y, tasks = demonstrations).
+    DoF-major row blocks of Y, tasks = demonstrations). Y, W and lambda2
+    are fixed for the object's life: the last evaluated point is cached.
     """
 
     def __init__(
@@ -75,6 +60,7 @@ class FeatureObjective:
                 f"{self.N * self.n_blocks}"
             )
         self.p = self.W.shape[0]
+        self._last: tuple[np.ndarray, float, np.ndarray] | None = None
 
     @property
     def theta_size(self) -> int:
@@ -97,52 +83,50 @@ class FeatureObjective:
         )
 
     def cost(self, theta: np.ndarray) -> float:
-        return self.cost_grad(theta, need_grad=False)[0]
+        return self.cost_grad(theta)[0]
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
         return self.cost_grad(theta)[1]
 
-    def cost_grad(self, theta: np.ndarray, need_grad: bool = True):
+    def cost_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Cost and gradient at theta; repeated calls at the last point are free."""
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.theta_size:
             raise ValueError(f"theta size {theta.size}, expected {self.theta_size}")
+        if self._last is not None and np.array_equal(theta, self._last[0]):
+            return self._last[1], self._last[2].copy()
         mus, s2 = self.split_theta(theta)
-        nb, p, N = self.n_blocks, self.p, self.N
-        W, lam2 = self.W, self.lambda2
-
-        f = 0.0
-        gmu = np.zeros((nb, p)) if need_grad else None
-        glogs = np.zeros((nb, p)) if need_grad else None
-        for b in range(nb):
-            phi, acc, dpm, dpl, dam, dal = _kernel_pieces(self.t, mus[b], s2[b])
-            if not np.all(np.isfinite(phi)):
-                raise FloatingPointError("non-finite basis values")
-            Yb = self.Y[b * N:(b + 1) * N]
-            R = Yb - phi @ W
-            A = acc @ W
-            f += float(np.sum(R ** 2) + lam2 * np.sum(A ** 2))
-            if need_grad:
-                gmu[b] = (
-                    -2.0 * np.sum((dpm.T @ R) * W, axis=1)
-                    + 2.0 * lam2 * np.sum((dam.T @ A) * W, axis=1)
-                )
-                glogs[b] = (
-                    -2.0 * np.sum((dpl.T @ R) * W, axis=1)
-                    + 2.0 * lam2 * np.sum((dal.T @ A) * W, axis=1)
-                )
-        if not need_grad:
-            return f, None
-        return f, np.concatenate([gmu.reshape(-1), glogs.reshape(-1)])
+        nb, N, W, lam2 = self.n_blocks, self.N, self.W, self.lambda2
+        floor_free = s2 >= SIGMA2_MIN  # the log-width gradient is 0 where the floor binds
+        phi, acc, dpm, dpl, dam, dal = basis_and_partials(
+            self.t, mus, np.maximum(s2, SIGMA2_MIN)
+        )
+        if not np.all(np.isfinite(phi)):
+            raise FloatingPointError("non-finite basis values")
+        R = self.Y.reshape(nb, N, -1) - phi @ W
+        A = acc @ W
+        f = float(np.sum(R ** 2) + lam2 * np.sum(A ** 2))
+        RW = -2.0 * (R @ W.T)
+        AW = (2.0 * lam2) * (A @ W.T)
+        gmu = np.sum(dpm * RW + dam * AW, axis=1)
+        glogs = np.sum(dpl * RW + dal * AW, axis=1) * floor_free
+        g = np.concatenate([gmu.reshape(-1), glogs.reshape(-1)])
+        self._last = (theta.copy(), f, g)
+        return f, g.copy()
 
 
-def cost(theta, W, Y, t, lambda2, n_dof_blocks=1) -> float:
-    """Smooth training cost at the given parameters and coefficients."""
-    return FeatureObjective(t, Y, W, lambda2, n_dof_blocks).cost(theta)
+def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
+    """BFGS inverse-Hessian update in place, in O(dim^2); needs y's > 0.
 
-
-def grad(theta, W, Y, t, lambda2, n_dof_blocks=1) -> np.ndarray:
-    """Analytic gradient of `cost` with respect to theta."""
-    return FeatureObjective(t, Y, W, lambda2, n_dof_blocks).grad(theta)
+    Expands H <- V H V' + rho s s' with V = I - rho s y' and rho = 1 / y's
+    (Nocedal & Wright, Numerical Optimization, eq. 6.17) into
+    H += (rho + rho^2 y'Hy) s s' - rho (Hy s' + s Hy'), written as
+    s w' + w s' so that a symmetric H stays exactly symmetric.
+    """
+    rho = 1.0 / (y @ s)
+    Hy = H @ y
+    w = (0.5 * (rho + rho * rho * (y @ Hy))) * s - rho * Hy
+    H += np.outer(s, w) + np.outer(w, s)
 
 
 @dataclass
@@ -196,9 +180,9 @@ def bfgs_minimize(
             H = np.eye(dim)
             d = -g
         with warnings.catch_warnings():
-            # A failed line search is an expected terminal state, handled
-            # below; scipy's warning would just add noise.
-            warnings.simplefilter("ignore", LineSearchWarning)
+            warnings.filterwarnings(
+                "ignore", message=_LINE_SEARCH_WARNINGS, category=RuntimeWarning
+            )
             alpha, _, _, f_new, _, _ = _wolfe_line_search(
                 objective.cost, objective.grad, theta, d, gfk=g, old_fval=f,
                 c1=c1, c2=c2, maxiter=50,
@@ -220,9 +204,7 @@ def bfgs_minimize(
             if first_step:
                 H = (ys / (y @ y)) * np.eye(dim)
                 first_step = False
-            rho = 1.0 / ys
-            V = np.eye(dim) - rho * np.outer(s, y)
-            H = V @ H @ V.T + rho * np.outer(s, s)
+            _bfgs_update(H, s, y)
         theta, f, g = theta_new, f_new, g_new
         if f < best_f:
             best_f, best_theta = f, theta.copy()

@@ -107,6 +107,31 @@ def eval_basis_accel(t: np.ndarray, params: RbfParams) -> np.ndarray:
     return phi * (u ** 2 / s2 ** 2 - 1.0 / s2)
 
 
+def basis_and_partials(
+    t: np.ndarray, mu: np.ndarray, s2: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Kernel values, time-accelerations and their parameter partials.
+
+    mu and s2 (squared widths) have shape (..., p), e.g. one row per DoF
+    block. Returns (Phi, Acc, dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2),
+    each of shape (..., N, p); column j depends only on feature j.
+    """
+    u = np.asarray(t, dtype=float)[:, None] - np.asarray(mu, dtype=float)[..., None, :]
+    inv = 1.0 / np.asarray(s2, dtype=float)[..., None, :]
+    a = u * inv  # u / s2
+    q = u * a  # u^2 / s2
+    phi = np.exp(-0.5 * q)
+    g = (q - 1.0) * inv  # u^2 / s2^2 - 1 / s2: Acc = Phi * g
+    return (
+        phi,
+        phi * g,
+        phi * a,
+        phi * (0.5 * q),
+        phi * (a * (g - 2.0 * inv)),
+        phi * ((0.5 * q) * g - (2.0 * q - 1.0) * inv),
+    )
+
+
 def eval_basis_param_grads(
     t: np.ndarray, params: RbfParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -115,16 +140,7 @@ def eval_basis_param_grads(
     Returns (dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2), each N x p;
     column j depends only on feature j's parameters.
     """
-    u = np.asarray(t, dtype=float)[:, None] - params.mu[None, :]
-    s2 = params.sigma2[None, :]
-    phi = np.exp(-(u ** 2) / (2.0 * s2))
-    g = u ** 2 / s2 ** 2 - 1.0 / s2
-
-    dphi_dmu = phi * (u / s2)
-    dphi_dlogs = phi * (u ** 2 / (2.0 * s2))
-    dacc_dmu = phi * (u / s2 * g - 2.0 * u / s2 ** 2)
-    dacc_dlogs = phi * (u ** 2 / (2.0 * s2) * g - 2.0 * u ** 2 / s2 ** 2 + 1.0 / s2)
-    return dphi_dmu, dphi_dlogs, dacc_dmu, dacc_dlogs
+    return basis_and_partials(t, params.mu, params.sigma2)[2:]
 
 
 def stack_basis(

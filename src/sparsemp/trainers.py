@@ -132,23 +132,6 @@ def _initial_params(t: np.ndarray, config: TrainerConfig) -> tuple[np.ndarray, f
     return mu0, config.initial_sigma2
 
 
-def _make_clamp(t: np.ndarray, n_blocks: int, p_holder: list[int]):
-    """Center clamp to [t_min - T, t_max + T] and the log-width floor."""
-    t0, t1 = float(t[0]), float(t[-1])
-    T = t1 - t0
-    log_floor = math.log(rbf.SIGMA2_MIN)
-
-    def clamp(theta: np.ndarray) -> np.ndarray:
-        p = p_holder[0]
-        out = theta.copy()
-        k = n_blocks * p
-        np.clip(out[:k], t0 - T, t1 + T, out=out[:k])
-        np.maximum(out[k:], log_floor, out=out[k:])
-        return out
-
-    return clamp
-
-
 @dataclass
 class _FitResult:
     params: RbfParams | StackedRbfParams
@@ -235,14 +218,25 @@ def _fit(
     if r_prev == 0.0:
         r_prev = np.finfo(float).tiny
 
-    p_holder = [params.n_features]
-    clamp = _make_clamp(t, n_blocks, p_holder)
+    t0, t1 = float(t[0]), float(t[-1])
+    center_lo, center_hi = t0 - (t1 - t0), t1 + (t1 - t0)
+    log_floor = math.log(rbf.SIGMA2_MIN)
+
+    def clamp(theta: np.ndarray) -> np.ndarray:
+        """Centers into [t_min - T, t_max + T], log widths onto the floor.
+
+        theta is [all centers, all log widths], so the split is its middle.
+        """
+        n_mu = theta.size // 2
+        out = theta.copy()
+        np.clip(out[:n_mu], center_lo, center_hi, out=out[:n_mu])
+        np.maximum(out[n_mu:], log_floor, out=out[n_mu:])
+        return out
 
     trace: list[dict] = []
     n_outer = 0
     for k in range(1, config.max_outer_iters + 1):
         n_outer = k
-        p_holder[0] = params.n_features
 
         objective = feature_opt.FeatureObjective(t, Y, W, lam2, n_blocks)
         theta0 = params.to_theta()
@@ -290,6 +284,9 @@ def _fit(
             "n_features": params.n_features,
             "smooth_cost_before_bfgs": f_smooth0,
             "smooth_cost_after_bfgs": result.cost,
+            "bfgs_iters": result.n_iters,
+            "bfgs_converged": result.converged,
+            "bfgs_line_search_failed": result.line_search_failed,
             "cost_before_en": f_before_en,
             "cost_after_en": f_after_en,
             "res_norm": r_k,

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsemp import rbf
 from sparsemp.feature_opt import (
     BfgsResult,
     FeatureObjective,
+    _bfgs_update,
     bfgs_minimize,
-    cost,
-    grad,
 )
 from sparsemp.rbf import RbfParams, StackedRbfParams, eval_basis
 
@@ -92,15 +96,50 @@ class TestFeatureObjective:
             denom = max(1.0, abs(fd))
             assert abs(g[i] - fd) / denom <= 1e-5
 
-    def test_module_level_wrappers(self):
+    @pytest.mark.parametrize("n_blocks", range(1, 8))
+    def test_batched_cost_grad_matches_block_loop(self, n_blocks):
+        rng = np.random.default_rng(100 + n_blocks)
+        N, p, m, lam2 = 30, 4, 3, 1e-2
+        t = np.linspace(0, 1, N)
+        W = rng.standard_normal((p, m))
+        Y = rng.standard_normal((N * n_blocks, m))
+        obj = FeatureObjective(t, Y, W, lam2, n_dof_blocks=n_blocks)
+        theta = random_theta(p, n_blocks, rng)
+        logs = theta[n_blocks * p:]
+        floored = rng.random(logs.size) < 0.3
+        logs[floored] = np.log(rbf.SIGMA2_MIN) - rng.uniform(0.5, 3.0, floored.sum())
+
+        params = obj.decode(theta)
+        Phi, Acc = rbf.build_basis(t, params)
+        f_oracle = np.sum((Y - Phi @ W) ** 2) + lam2 * np.sum((Acc @ W) ** 2)
+        per_dof = params.per_dof if n_blocks > 1 else [params]
+        gmu, glogs = np.zeros((n_blocks, p)), np.zeros((n_blocks, p))
+        for b, block_params in enumerate(per_dof):
+            dpm, dpl, dam, dal = rbf.eval_basis_param_grads(t, block_params)
+            R = Y[b * N:(b + 1) * N] - Phi[b * N:(b + 1) * N] @ W
+            A = Acc[b * N:(b + 1) * N] @ W
+            gmu[b] = -2 * np.sum((dpm.T @ R) * W, 1) + 2 * lam2 * np.sum((dam.T @ A) * W, 1)
+            glogs[b] = -2 * np.sum((dpl.T @ R) * W, 1) + 2 * lam2 * np.sum((dal.T @ A) * W, 1)
+        glogs[floored.reshape(n_blocks, p)] = 0.0
+        g_oracle = np.concatenate([gmu.ravel(), glogs.ravel()])
+
+        f, g = obj.cost_grad(theta)
+        assert f == pytest.approx(f_oracle, rel=1e-12)
+        np.testing.assert_allclose(g, g_oracle, rtol=1e-10, atol=1e-10 * np.abs(g_oracle).max())
+        assert np.all(g[n_blocks * p:][floored] == 0.0)
+
+    def test_cached_point_never_stale(self):
         obj, rng = flat_objective(seed=2)
         theta = random_theta(3, 1, rng)
-        assert cost(theta, obj.W, obj.Y, obj.t, obj.lambda2) == pytest.approx(
-            obj.cost(theta)
-        )
-        np.testing.assert_array_equal(
-            grad(theta, obj.W, obj.Y, obj.t, obj.lambda2), obj.grad(theta)
-        )
+        f0, g0 = obj.cost_grad(theta)
+        expected = g0.copy()
+        g0[:] = 0.0  # the caller owns what it is handed, fresh or cached
+        obj.grad(theta)[:] = 0.0
+        np.testing.assert_array_equal(obj.cost_grad(theta.copy())[1], expected)
+        theta[0] += 1e-3
+        fresh = FeatureObjective(obj.t, obj.Y, obj.W, obj.lambda2)
+        assert obj.cost(theta) == fresh.cost(theta) != f0
+        np.testing.assert_array_equal(obj.grad(theta), fresh.grad(theta))
 
     def test_decode_shapes(self):
         obj, rng = flat_objective()
@@ -115,6 +154,33 @@ class TestFeatureObjective:
         stacked = stacked_obj.decode(random_theta(2, 2, rng2))
         assert isinstance(stacked, StackedRbfParams)
         assert stacked.n_dof == 2
+
+
+def product_form_update(H, s, y):
+    """Textbook BFGS inverse-Hessian update: V H V' + rho s s'."""
+    rho = 1.0 / (y @ s)
+    V = np.eye(s.size) - rho * np.outer(s, y)
+    return V @ H @ V.T + rho * np.outer(s, s)
+
+
+class TestBfgsUpdate:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_matches_product_form(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((dim, dim))
+        H = B @ B.T + 0.1 * np.eye(dim)
+        s = rng.standard_normal(dim)
+        y = rng.standard_normal(dim)
+        if y @ s <= 0:
+            y = -y
+        y += 0.1 * s  # keeps y's away from zero
+        expected = product_form_update(H, s, y)
+        _bfgs_update(H, s, y)
+        scale = np.abs(expected).max()
+        np.testing.assert_allclose(H, expected, rtol=0, atol=1e-9 * scale)
+        np.testing.assert_array_equal(H, H.T)
+        np.testing.assert_allclose(H @ y, s, rtol=0, atol=1e-9 * scale * np.abs(y).max())
 
 
 class TestBfgsMinimize:
@@ -170,6 +236,17 @@ class TestBfgsMinimize:
 
         result = bfgs_minimize(obj, np.array([0.8, np.log(0.05)]), project=clamp)
         assert 0.4 - 1e-12 <= result.theta[0] <= 0.9 + 1e-12
+
+    def test_line_search_failure_flagged_without_warning(self):
+        obj, rng = flat_objective(seed=0)
+        theta0 = random_theta(3, 1, rng)
+        # a slope of the wrong sign leaves the line search no Wolfe point
+        obj.grad = lambda theta: -FeatureObjective.grad(obj, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = bfgs_minimize(obj, theta0)
+        assert result.line_search_failed and not result.converged
+        assert result.cost <= obj.cost(theta0)
 
     def test_non_finite_start_rejected(self):
         obj, _ = flat_objective()

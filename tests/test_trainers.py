@@ -117,7 +117,7 @@ class TestTrainLsdp:
     def test_metadata_fields(self, small_fixture):
         demos, _ = small_fixture
         demo = demos.demos[0]
-        prim = train_lsdp(demo, small_config(seed=7))
+        prim = train_lsdp(demo, small_config(seed=7, bfgs_max_iters=5))
         md = prim.metadata
         assert md["n_samples"] == demo.n_samples
         assert md["n_dof"] == demo.n_dof
@@ -125,6 +125,10 @@ class TestTrainLsdp:
         assert md["seed"] == 7
         assert md["res_norm"] >= 0.0
         assert md["n_outer_iters"] == len(md["trace"])
+        for row in md["trace"]:
+            assert 0 <= row["bfgs_iters"] <= 5
+            assert isinstance(row["bfgs_converged"], bool)
+            assert isinstance(row["bfgs_line_search_failed"], bool)
 
 
 class TestTrainClsdp:
