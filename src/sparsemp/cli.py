@@ -7,6 +7,7 @@ All commands are deterministic given identical inputs, flags and seeds.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from pathlib import Path
 
@@ -137,7 +138,39 @@ def _trainer_config(args) -> TrainerConfig:
     )
 
 
+def _baseline_metrics(model, demo) -> tuple[int, float, float, float]:
+    """nnz, acc_norm, res_norm and total cost of a DMP or ridge baseline;
+    a DMP residual is taken over the common prefix of rollout and demo."""
+    if isinstance(model, baselines.DmpModel):
+        roll = baselines.rollout_dmp(model)
+        n = min(demo.n_samples, roll.Q.shape[0])
+        res = float(np.linalg.norm(demo.Q[:n] - roll.Q[:n]))
+        acc = float(np.linalg.norm(
+            np.gradient(np.gradient(roll.Q, roll.dt, axis=0), roll.dt, axis=0)
+        ))
+        total = res ** 2
+    else:
+        res = float(np.linalg.norm(demo.Q - baselines.ridge_reconstruct(model)))
+        acc = baselines.ridge_acc_norm(model)
+        total = res ** 2 + model.lambda2 * acc ** 2
+    return model.params_per_dof() * model.n_dof, acc, res, total
+
+
 def cmd_train(args) -> int:
+    if not args.verbose:
+        return _train(args)
+    logger = logging.getLogger("sparsemp")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        return _train(args)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def _train(args) -> int:
     demos = _load_demos(args.demos)
     method = args.method
     if method in ("dmp", "ridge"):
@@ -146,18 +179,10 @@ def cmd_train(args) -> int:
         demo = demos.demos[0]
         if method == "dmp":
             model = baselines.train_dmp(demo, n_basis=args.n_basis)
-            roll = baselines.rollout_dmp(model)
-            res = float(np.linalg.norm(demo.Q - roll.Q[: demo.n_samples]))
-            acc = float(np.linalg.norm(
-                np.gradient(np.gradient(roll.Q, roll.dt, axis=0), roll.dt, axis=0)
-            ))
-            nnz = model.params_per_dof() * model.n_dof
         else:
             model = baselines.train_ridge(demo, n_basis=args.n_basis,
                                           lambda2=args.lambda2 or 1e-4)
-            res = float(np.linalg.norm(demo.Q - baselines.ridge_reconstruct(model)))
-            acc = baselines.ridge_acc_norm(model)
-            nnz = model.params_per_dof() * model.n_dof
+        nnz, acc, res, _ = _baseline_metrics(model, demo)
         policy.save_policy(args.out, model)
         print(f"method={method} nnz={nnz} acc_norm={_fmt(acc)} res_norm={_fmt(res)}")
         print(f"params per DoF: {model.params_per_dof()}")
@@ -247,22 +272,9 @@ def cmd_eval(args) -> int:
             _, report = trainers.evaluate(model, model.t, reference)
             row = (model.mode, report.nnz, report.acc_norm, report.res_norm,
                    report.total_cost)
-        elif isinstance(model, baselines.DmpModel):
-            demo = demos.demos[0]
-            roll = baselines.rollout_dmp(model)
-            n = min(demo.n_samples, roll.Q.shape[0])
-            res = float(np.linalg.norm(demo.Q[:n] - roll.Q[:n]))
-            acc = float(np.linalg.norm(
-                np.gradient(np.gradient(roll.Q, roll.dt, axis=0), roll.dt, axis=0)
-            ))
-            nnz = model.params_per_dof() * model.n_dof
-            row = ("dmp", nnz, acc, res, res ** 2)
         else:
-            demo = demos.demos[0]
-            res = float(np.linalg.norm(demo.Q - baselines.ridge_reconstruct(model)))
-            acc = baselines.ridge_acc_norm(model)
-            nnz = model.params_per_dof() * model.n_dof
-            row = ("ridge", nnz, acc, res, res ** 2 + model.lambda2 * acc ** 2)
+            method = "dmp" if isinstance(model, baselines.DmpModel) else "ridge"
+            row = (method, *_baseline_metrics(model, demos.demos[0]))
         lines.append(
             f"{row[0]},{row[1]},{_fmt(row[2])},{_fmt(row[3])},{_fmt(row[4])}"
         )
@@ -320,6 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cv-folds", type=int, default=None)
     p.add_argument("--n-basis", type=int, default=10)
     p.add_argument("--initial-p", type=int, default=None)
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="log solver diagnostics to stderr")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank", help="rank policy features along the path")

@@ -9,19 +9,25 @@ acceleration penalty into the squared loss, leaving a multi-task lasso. It
 is solved in covariance form (glmnet's "covariance updates"): block
 coordinate descent and the optimality certificate only ever need the Gram
 matrix G = Phi_a^T Phi_a (p x p), the correlations C = Phi_a^T Y_a and the
-energy ||Y_a||^2, so the solver carries G W in place of the residual and no
-step touches a row of the design.
+energy ||Y_a||^2, so no step touches a row of the design. Each certificate
+check computes G W afresh; between checks the sweeps and the IRLS step carry
+D_w = C - G W on the working-set rows only, and IRLS works on the nonzero
+rows' blocks of G, C and D_w, so a step costs no more than the working set.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import blas, lapack
 
 from .rbf import RbfParams, StackedRbfParams
+
+logger = logging.getLogger(__name__)
 
 
 class ConvergenceError(RuntimeError):
@@ -161,16 +167,15 @@ def solve(
 ) -> np.ndarray:
     """Block coordinate descent with group soft-thresholding, in Gram form.
 
-    Blocks are whole coefficient rows (one feature across all tasks). The
-    update of row j needs only phi_j^T R = C[j] - (G W)[j], so the solver
-    keeps GW (p x m) current instead of the residual and a block update
-    costs O(p m), independent of the number of design rows. Cyclic sweeps
-    run over a working set grown by worst KKT violation; an IRLS jump on
-    G[A, A] accelerates near-duplicate designs. Returns once the KKT
-    residual certifies the iterate (kkt_violation <= 10 tol) or the
+    Blocks are whole coefficient rows (one feature across all tasks); the
+    update of row j needs only D[j] = phi_j^T R = C[j] - (G W)[j]. Cyclic
+    sweeps run over a working set grown by worst KKT violation, carrying D
+    for its rows only, so a block update costs O(|work| m); an IRLS jump on
+    the nonzero rows accelerates near-duplicate designs. Returns once the
+    KKT residual certifies the iterate (kkt_violation <= 10 tol) or the
     duality gap drops below tol scale; degenerate designs where neither
     certificate is attainable fall back to a sqrt(tol)-scale gap bound
-    late in the sweep budget.
+    late in the sweep budget. Logs one DEBUG record per call.
     """
     if lambda1 < 0:
         raise ValueError("lambda1 must be nonnegative")
@@ -183,90 +188,93 @@ def solve(
         W = np.zeros((p, m))
 
     G, C = prob.gram, prob.corr
-    col_sq = np.diagonal(G).tolist()
     GW = G @ W
+    irls_steps = irls_calls = irls_capped = 0
 
-    def sweep(indices) -> float:
-        nonlocal GW
-        max_change = 0.0
-        for j in indices:
-            g_jj = col_sq[j]
+    def sweep(idx, blocks, D_w, nonzero) -> float:
+        # blocks holds each working-set row's views (W row, D_w row, G_ww
+        # column, G_jj); nonzero flags the rows of W that are not all zero.
+        W_old = W[idx]
+        for k, (w_old, d, g_col, g_jj) in enumerate(blocks):
             if g_jj == 0.0:
                 continue
-            w_old = W[j]
-            z = C[j] - GW[j] + g_jj * w_old
+            z = d + g_jj * w_old if nonzero[k] else d
             zn = math.sqrt(z @ z)
-            if zn > 0.0:
-                scale = max(0.0, 1.0 - lambda1 / (2.0 * zn))
-            else:
-                scale = 0.0
+            if not nonzero[k] and 2.0 * zn <= lambda1:
+                continue  # a zero row that stays zero
+            scale = max(0.0, 1.0 - lambda1 / (2.0 * zn)) if zn > 0.0 else 0.0
             w_new = z * (scale / g_jj)
-            delta = w_new - w_old
-            change = float(np.abs(delta).max())
-            if change > 0.0:
-                # G is symmetric, so its contiguous row j is column j.
-                GW += G[j, :, None] * delta
-                W[j] = w_new
-                max_change = max(max_change, change)
-        return max_change
+            # D_w -= outer(G_ww[:, k], w_new - w_old), in place.
+            blas.dger(-1.0, g_col, w_new - w_old, a=D_w, overwrite_a=True)
+            w_old[...] = w_new
+            nonzero[k] = scale > 0.0
+        # Each row moves at most once per sweep: this is the max |delta|.
+        return float(np.maximum.reduce(np.abs(W[idx] - W_old), axis=None))
 
-    def irls_refine(max_inner: int = 100) -> None:
+    def irls_refine(idx, G_ww, D_w, max_inner: int = 100) -> None:
         # Near-duplicate basis columns make plain coordinate descent crawl;
         # solving the smooth restricted problem on the current active rows by
         # iteratively reweighted least squares jumps straight to its optimum.
         # Only descent steps are accepted, and the surrounding full sweeps
-        # still certify optimality, so the minimizer is unchanged.
-        for _ in range(max_inner):
-            row_norms = np.linalg.norm(W, axis=1)
-            act = np.flatnonzero(row_norms > 0)
-            if act.size == 0:
-                return
-            norms = row_norms[act]
-            G_act = G[act]
-            A = G_act[:, act] + np.diag(lambda1 / (2.0 * norms))
-            try:
-                W_s = np.linalg.solve(A, C[act])
-            except np.linalg.LinAlgError:
-                return
-            W_act = W[act]
-            delta = W_s - W_act
-            GW_trial = GW + G_act.T @ delta
+        # still certify optimality, so the minimizer is unchanged. D_w is
+        # not written back: the next cycle rebuilds it from a fresh G W.
+        nonlocal irls_steps, irls_calls, irls_capped
+        norms = np.linalg.norm(W[idx], axis=1)
+        a = np.flatnonzero(norms > 0)
+        rows, norms, W_a, D_a = idx[a], norms[a], W[idx[a]], D_w[a]
+        G_aa, C_a = G_ww[np.ix_(a, a)], np.asfortranarray(C[idx[a]])
+        steps = 0
+        while rows.size and steps < max_inner:
+            steps += 1
+            A = G_aa.copy()
+            A.reshape(-1)[:: rows.size + 1] += lambda1 / (2.0 * norms)
+            _, _, W_s, info = lapack.dgesv(A, C_a)
+            if info != 0:
+                break
+            delta = W_s - W_a
+            D_trial = D_a - G_aa @ delta
+            norms_s = np.linalg.norm(W_s, axis=1)
             # With D = C - GW, F(W) = ||Y_a||^2 - <W, C + D> + penalty, and
-            # F(W + delta) - F(W) = -<delta, D + D_trial> + penalty change is
-            # differenced directly rather than through ||Y_a||^2. Zero rows of
-            # W drop out of every inner product.
-            twice_c = 2.0 * C[act]
-            penalty = lambda1 * float(np.sum(norms))
-            f_old = prob.energy - float(np.sum(W_act * (twice_c - GW[act]))) + penalty
+            # F(W + delta) - F(W) = -<delta, D + D_trial> + penalty change
+            # is differenced directly rather than through ||Y_a||^2.
+            penalty = lambda1 * float(norms.sum())
+            f_old = prob.energy - float(np.vdot(W_a, C_a + D_a)) + penalty
             f_change = (
-                lambda1 * float(np.sum(np.linalg.norm(W_s, axis=1))) - penalty
-                - float(np.sum(delta * (twice_c - GW[act] - GW_trial[act])))
+                lambda1 * float(norms_s.sum()) - penalty
+                - float(np.vdot(delta, D_a + D_trial))
             )
             if f_change >= -1e-15 * (1.0 + abs(f_old)):
-                return
-            step = np.max(np.abs(delta))
-            W[act] = W_s
-            GW[...] = GW_trial
-            if step <= tol:
-                return
+                break
+            W_a, D_a, norms = W_s, D_trial, norms_s
+            if np.maximum.reduce(np.abs(delta), axis=None) <= tol:
+                break
+            if not norms.all():  # a row reached exactly zero: drop it
+                W[rows] = W_a
+                keep = norms > 0
+                rows, W_a, D_a, norms = rows[keep], W_a[keep], D_a[keep], norms[keep]
+                G_aa, C_a = G_aa[np.ix_(keep, keep)], C_a[keep]
+        W[rows] = W_a
+        irls_calls, irls_steps = irls_calls + 1, irls_steps + steps
+        irls_capped += steps == max_inner
 
-    def certified() -> tuple[bool, float, float]:
-        """KKT residual within 10 tol, or duality gap below tol scale.
+    def certified() -> tuple[str | None, float, float]:
+        """Exit met ("kkt", "gap", "loose" or None), max KKT residual, gap.
 
-        The gap exit covers degenerate (near-duplicate column) designs
-        where block updates crawl: it bounds the remaining objective
-        decrease, which is what callers actually depend on. Returns the
-        verdict along with the current gap and primal value.
+        The gap exits cover degenerate designs where block updates crawl:
+        they bound the remaining objective decrease, which callers rely on.
         """
         # Re-derive GW so the certificate carries no drift from the
         # incremental updates and agrees with kkt_violation and dual_gap.
         np.matmul(G, W, out=GW)
         viol, gap, primal = _certificate(prob, lambda1, W, GW)
         worst = int(np.argmax(viol)) if viol.size else 0
-        if viol.size == 0 or viol[worst] <= 10.0 * tol:
-            return True, gap, primal
+        kkt = float(viol[worst]) if viol.size else 0.0
+        if kkt <= 10.0 * tol:
+            return "kkt", kkt, gap
         if gap <= tol * (1.0 + abs(primal)):
-            return True, gap, primal
+            return "gap", kkt, gap
+        if sweeps >= loose_after and gap <= np.sqrt(tol) * (1.0 + abs(primal)):
+            return "loose", kkt, gap
         # Grow the working set by every strong violator (up to 10 per
         # cycle) so entry is not serialized one feature per cycle.
         in_work = set(work)
@@ -275,7 +283,7 @@ def solve(
             j = int(j)
             if viol[j] > 0.5 * viol[worst] and j not in in_work:
                 work.append(j)
-        return False, gap, primal
+        return None, kkt, gap
 
     work = list(np.flatnonzero(np.linalg.norm(W, axis=1) > 0))
     if not work:
@@ -285,35 +293,43 @@ def solve(
 
     # Near-duplicate columns can make the last feature enter at a
     # geometric crawl that never reaches the strict certificate within any
-    # reasonable budget. Once a solve has gone hundreds of sweeps without
-    # certifying, a duality gap at the sqrt(tol) scale -- still a hard
-    # bound on the remaining objective decrease -- is accepted instead of
-    # burning the rest of the budget on negligible progress.
-    loose_after = max(50, min(500, max_sweeps // 4))
+    # reasonable budget. Once a solve has gone hundreds of sweeps (or its
+    # whole budget) without certifying, a duality gap at the sqrt(tol) scale
+    # -- still a hard bound on the remaining objective decrease -- is
+    # accepted instead of burning the budget on negligible progress.
+    loose_after = min(max_sweeps, max(50, min(500, max_sweeps // 4)))
     sweeps = 0
-    while sweeps < max_sweeps:
+    kind = None
+    while kind is None and sweeps < max_sweeps:
+        # GW is current here. D_w is Fortran-ordered so that dger updates it
+        # in place; G is symmetric, so row k of G_ww is its column k.
+        idx = np.array(work)
+        G_ww = G[np.ix_(idx, idx)]
+        D_w = np.asfortranarray(C[idx] - GW[idx])
+        blocks = list(zip([W[j] for j in idx], D_w, G_ww, np.diagonal(G_ww).tolist()))
+        nonzero = W[idx].any(axis=1).tolist()
         for _ in range(50):
             if sweeps >= max_sweeps:
                 break
-            change = sweep(work)
+            change = sweep(idx, blocks, D_w, nonzero)
             sweeps += 1
             if change <= tol:
                 break
-        irls_refine()
-        ok, gap, primal = certified()
-        if ok:
-            return W
-        if sweeps >= loose_after and gap <= np.sqrt(tol) * (1.0 + abs(primal)):
-            return W
-    ok, gap, primal = certified()
-    if ok or gap <= np.sqrt(tol) * (1.0 + abs(primal)):
+        irls_refine(idx, G_ww, D_w)
+        kind, kkt, gap = certified()
+    if sweeps == 0:  # no budget: certify the start as it is
+        kind, kkt, gap = certified()
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug("solve: p=%d sweeps=%d irls_steps=%d irls_capped=%d/%d exit=%s "
+                     "kkt=%.3e gap=%.3e", p, sweeps, irls_steps, irls_capped,
+                     irls_calls, kind or "none", kkt, gap)
+    if kind is not None:
         return W
-    resid = kkt_violation(prob, lambda1, W)
     raise ConvergenceError(
         f"coordinate descent did not converge in {max_sweeps} sweeps "
-        f"(KKT violation {resid:.3e})",
+        f"(KKT violation {kkt:.3e})",
         W=W,
-        kkt=resid,
+        kkt=kkt,
     )
 
 

@@ -141,6 +141,29 @@ class TestTrain:
         model = policy.load_policy(out)
         assert model.params_per_dof() == 11
 
+    def test_verbose_logs_each_solve_to_stderr(self, fixture_dir, tmp_path, capsys):
+        demo = str(fixture_dir / "demo_1.csv")
+        out = str(tmp_path / "lsdp.json")
+        assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1", "-v") == 0
+        err = capsys.readouterr().err
+        assert "solve: p=" in err and "exit=" in err
+        assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1") == 0
+        assert "solve:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["dmp", "ridge"])
+    def test_baseline_train_and_eval_agree(self, method, fixture_dir, tmp_path, capsys):
+        demo = str(fixture_dir / "demo_1.csv")
+        out = str(tmp_path / f"{method}.json")
+        assert run("train", method, demo, "--out", out) == 0
+        trained = dict(
+            field.split("=") for field in capsys.readouterr().out.split()
+            if "=" in field
+        )
+        assert run("eval", out, "--demos", demo) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[0] == method
+        assert (row[2], row[3]) == (trained["acc_norm"], trained["res_norm"])
+
     def test_missing_input_fails(self, tmp_path):
         code = run(
             "train", "lsdp", str(tmp_path / "nope.csv"),

@@ -1,3 +1,5 @@
+import logging
+import re
 from itertools import chain, combinations
 
 import numpy as np
@@ -19,7 +21,7 @@ from sparsemp.elastic_net import (
     solve,
     to_lasso,
 )
-from sparsemp.rbf import RbfParams, StackedRbfParams
+from sparsemp.rbf import RbfParams, StackedRbfParams, build_basis
 
 
 def random_problem(N=12, p=3, m=2, seed=0, lambda2=0.0):
@@ -197,6 +199,85 @@ class TestSolve:
             solve(prob, lam, tol=1e-14, max_sweeps=1)
         assert err.value.W.shape == (5, 2)
         assert err.value.kkt > 0
+
+
+def one_center_per_sample(shift: float = 0.0, dead: int | None = None) -> AugmentedProblem:
+    """40 samples, one centre per sample at width^2 0.1: near-duplicate
+    columns on which the solve ends on its loose exit after IRLS jumps.
+    `dead` zeroes one design column."""
+    rng = np.random.default_rng(0)
+    t = np.arange(40) * 0.025
+    Y = np.column_stack([np.sin(2 * np.pi * t), np.cos(3 * np.pi * t), t ** 2])
+    Y = Y + 0.01 * rng.standard_normal(Y.shape)
+    phi, acc = build_basis(t, RbfParams(mu=t + shift, sigma2=np.full(t.size, 0.1)))
+    if dead is not None:
+        phi[:, dead] = acc[:, dead] = 0.0
+    return to_lasso(phi, acc, Y, 1e-4)
+
+
+def exit_kind(prob: AugmentedProblem, lambda1: float, tol: float, W) -> str:
+    """The exit of `solve` that W meets, judged by the public certificates."""
+    if kkt_violation(prob, lambda1, W) <= 10.0 * tol:
+        return "kkt"
+    if dual_gap(prob, lambda1, W) <= tol * (1.0 + abs(objective(prob, lambda1, W))):
+        return "gap"
+    return "loose"
+
+
+class TestSolvePinned:
+    """Objective, support and exit of solves on a near-duplicate design,
+    recorded before the working-set kernel: a change to how much work each
+    sweep or IRLS step does may move round-off, never the iterates."""
+
+    @pytest.mark.parametrize("shift, dead, value, support", [
+        (0.003, None, 9.086612990665152, [0, 12, 13, 27, 28, 29, 39]),
+        # Row 13 is nonzero in the warm start but its column is zero, so
+        # the first IRLS step sets it to exactly zero and the restricted
+        # problem is sliced again.
+        (0.003, 13, 9.086943833487616, [0, 12, 14, 27, 28, 29, 39]),
+    ])
+    def test_cold_then_warm_on_shifted_basis(self, shift, dead, value, support):
+        prob = one_center_per_sample()
+        lam = 1e-3 * lambda_max(prob)
+        W = solve(prob, lam, tol=1e-6, max_sweeps=20_000)
+        assert objective(prob, lam, W) == pytest.approx(9.089168205716733, rel=1e-9)
+        assert active_set(W).tolist() == [0, 12, 13, 14, 27, 29, 30, 39]
+        assert exit_kind(prob, lam, 1e-6, W) == "loose"
+
+        shifted = one_center_per_sample(shift, dead)
+        W = solve(shifted, lam, tol=1e-6, max_sweeps=20_000, warm_start=W)
+        assert objective(shifted, lam, W) == pytest.approx(value, rel=1e-9)
+        assert active_set(W).tolist() == support
+        assert exit_kind(shifted, lam, 1e-6, W) == "loose"
+
+
+class TestSolveTelemetry:
+    @pytest.mark.parametrize("case", ["random", "near_duplicate"])
+    def test_one_record_per_solve_names_the_exit(self, case, caplog):
+        if case == "random":
+            prob, tol = random_problem(N=15, p=4, m=3, seed=7), 1e-8
+            lam = 0.3 * lambda_max(prob)
+        else:
+            prob, tol = one_center_per_sample(), 1e-6
+            lam = 1e-3 * lambda_max(prob)
+        with caplog.at_level(logging.DEBUG, logger="sparsemp.elastic_net"):
+            W = solve(prob, lam, tol=tol, max_sweeps=20_000)
+        (record,) = caplog.records
+        fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+        assert fields["exit"] == exit_kind(prob, lam, tol, W)
+        assert float(fields["kkt"]) == pytest.approx(
+            kkt_violation(prob, lam, W), rel=1e-3)
+        assert float(fields["gap"]) == pytest.approx(
+            dual_gap(prob, lam, W), rel=1e-3, abs=1e-12)
+        assert int(fields["sweeps"]) >= 1
+        steps, (capped, calls) = int(fields["irls_steps"]), fields["irls_capped"].split("/")
+        assert int(capped) <= int(calls) and 100 * int(capped) <= steps
+
+    def test_disabled_logger_formats_nothing(self, caplog, monkeypatch):
+        caplog.set_level(logging.INFO, logger="sparsemp.elastic_net")
+        monkeypatch.setattr(elastic_net.logger, "debug", pytest.fail)
+        prob = random_problem(seed=3)
+        solve(prob, 0.3 * lambda_max(prob))
 
 
 class TestKktViolation:
