@@ -6,21 +6,29 @@ line search. The sparsity penalty does not depend on theta and is added
 back by the caller when reporting total cost.
 
 Each cost/gradient evaluation covers all DoF blocks with one batched kernel
-call (`rbf.basis_and_partials`), and `FeatureObjective` keeps the last
-evaluated point, so the line search's separate cost and gradient requests
-at one trial point, and the re-evaluation at the accepted point, cost one
-kernel evaluation. The inverse-Hessian update is the O(dim^2) rank-two form.
+call (`rbf.basis_and_partials`) into a workspace that `FeatureObjective`
+allocates once, and contracts the parameter partials with the N x m
+residuals first, so no N x p product is formed. `FeatureObjective` keeps
+the last evaluated point, so the line search's separate cost and gradient
+requests at one trial point, and the re-evaluation at the accepted point,
+cost one kernel evaluation. The inverse Hessian is kept as the upper
+triangle of a Fortran-ordered array and updated in place by the O(dim^2)
+BLAS rank-two form, so a BFGS iteration allocates nothing of size dim^2.
 """
 
 from __future__ import annotations
 
+import logging
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.optimize import line_search as _wolfe_line_search
 
 from .rbf import SIGMA2_MIN, RbfParams, StackedRbfParams, basis_and_partials
+
+logger = logging.getLogger(__name__)
 
 CURVATURE_EPS = 1e-12
 LOG_S2_MAX = 50.0  # keeps exp() finite; widths this large are already flat
@@ -61,6 +69,8 @@ class FeatureObjective:
             )
         self.p = self.W.shape[0]
         self._last: tuple[np.ndarray, float, np.ndarray] | None = None
+        self._work = np.empty((6, self.n_blocks, self.N, self.p))
+        self.n_evals = 0  # kernel evaluations, i.e. cache misses
 
     @property
     def theta_size(self) -> int:
@@ -95,22 +105,24 @@ class FeatureObjective:
             raise ValueError(f"theta size {theta.size}, expected {self.theta_size}")
         if self._last is not None and np.array_equal(theta, self._last[0]):
             return self._last[1], self._last[2].copy()
+        self.n_evals += 1
         mus, s2 = self.split_theta(theta)
         nb, N, W, lam2 = self.n_blocks, self.N, self.W, self.lambda2
         floor_free = s2 >= SIGMA2_MIN  # the log-width gradient is 0 where the floor binds
-        phi, acc, dpm, dpl, dam, dal = basis_and_partials(
-            self.t, mus, np.maximum(s2, SIGMA2_MIN)
-        )
-        if not np.all(np.isfinite(phi)):
+        work = self._work
+        basis_and_partials(self.t, mus, np.maximum(s2, SIGMA2_MIN), out=work)
+        if not np.all(np.isfinite(work[0])):
             raise FloatingPointError("non-finite basis values")
-        R = self.Y.reshape(nb, N, -1) - phi @ W
-        A = acc @ W
+        R = self.Y.reshape(nb, N, -1) - work[0] @ W
+        A = work[1] @ W
         f = float(np.sum(R ** 2) + lam2 * np.sum(A ** 2))
-        RW = -2.0 * (R @ W.T)
-        AW = (2.0 * lam2) * (A @ W.T)
-        gmu = np.sum(dpm * RW + dam * AW, axis=1)
-        glogs = np.sum(dpl * RW + dal * AW, axis=1) * floor_free
-        g = np.concatenate([gmu.reshape(-1), glogs.reshape(-1)])
+        # sum_n dPhi[n, j] (R W')[n, j] = sum_t W[j, t] (dPhi' R)[j, t]: the
+        # partials meet the N x m residuals first, so no N x p product forms.
+        G = (lam2 * (work[4:].swapaxes(-1, -2) @ A)  # (2, nb, p, m): mu, log s2
+             - work[2:4].swapaxes(-1, -2) @ R)
+        g = 2.0 * np.sum(G * W, axis=-1)
+        g[1] *= floor_free
+        g = g.reshape(-1)
         self._last = (theta.copy(), f, g)
         return f, g.copy()
 
@@ -120,13 +132,16 @@ def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
 
     Expands H <- V H V' + rho s s' with V = I - rho s y' and rho = 1 / y's
     (Nocedal & Wright, Numerical Optimization, eq. 6.17) into
-    H += (rho + rho^2 y'Hy) s s' - rho (Hy s' + s Hy'), written as
-    s w' + w s' so that a symmetric H stays exactly symmetric.
+    H += (rho + rho^2 y'Hy) s s' - rho (Hy s' + s Hy'), written as the
+    symmetric rank-two term s w' + w s'. H must be a Fortran-ordered float
+    array of which only the upper triangle is read and written (BLAS
+    dsymv/dsyr2).
     """
     rho = 1.0 / (y @ s)
-    Hy = H @ y
+    Hy = blas.dsymv(1.0, H, y)
     w = (0.5 * (rho + rho * rho * (y @ Hy))) * s - rho * Hy
-    H += np.outer(s, w) + np.outer(w, s)
+    if blas.dsyr2(1.0, s, w, a=H, overwrite_a=True) is not H:
+        raise ValueError("H must be a Fortran-ordered float64 array")
 
 
 @dataclass
@@ -137,6 +152,7 @@ class BfgsResult:
     n_iters: int
     converged: bool
     line_search_failed: bool
+    n_evals: int  # kernel evaluations (objective cache misses) during the run
 
 
 def bfgs_minimize(
@@ -153,6 +169,7 @@ def bfgs_minimize(
     Returns the best iterate seen; a line-search failure ends the run with
     the best-so-far, flagged. `project` (if given) is applied to each
     accepted iterate, e.g. to clamp centers back into the data window.
+    Emits one DEBUG record on the `sparsemp.feature_opt` logger per call.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
@@ -161,55 +178,65 @@ def bfgs_minimize(
     if max_iters is None:
         max_iters = 100 * max(1, objective.p)
 
+    evals0 = objective.n_evals
     f, g = objective.cost_grad(theta)
     if not np.isfinite(f):
         raise FloatingPointError("non-finite cost at the initial point")
     if grad_tol is None:
         grad_tol = 1e-6 * (1.0 + abs(f))
 
-    best_theta, best_f = theta.copy(), f
-    H = np.eye(dim)
+    f0, best_theta, best_f = f, theta.copy(), f
+    # Inverse Hessian: Fortran-ordered, only its upper triangle is kept;
+    # None stands for the identity until a curvature pair arrives.
+    H = None
     first_step = True
     ls_failed = False
     converged = np.linalg.norm(g) <= grad_tol
     it = 0
-    while not converged and it < max_iters:
-        d = -H @ g
-        if d @ g >= 0:
-            # Safeguard: reset to steepest descent if H lost definiteness.
-            H = np.eye(dim)
-            d = -g
-        with warnings.catch_warnings():
-            warnings.filterwarnings(
-                "ignore", message=_LINE_SEARCH_WARNINGS, category=RuntimeWarning
-            )
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message=_LINE_SEARCH_WARNINGS, category=RuntimeWarning
+        )
+        while not converged and it < max_iters:
+            d = -g if H is None else blas.dsymv(-1.0, H, g)
+            if d @ g >= 0:
+                # Safeguard: reset to steepest descent if H lost definiteness.
+                H = None
+                d = -g
             alpha, _, _, f_new, _, _ = _wolfe_line_search(
                 objective.cost, objective.grad, theta, d, gfk=g, old_fval=f,
                 c1=c1, c2=c2, maxiter=50,
             )
-        if alpha is None:
-            ls_failed = True
-            break
-        s = alpha * d
-        theta_new = theta + s
-        if project is not None:
-            projected = project(theta_new)
-            if not np.array_equal(projected, theta_new):
-                theta_new = projected
-                s = theta_new - theta
-        f_new, g_new = objective.cost_grad(theta_new)
-        y = g_new - g
-        ys = y @ s
-        if ys > CURVATURE_EPS:
-            if first_step:
-                H = (ys / (y @ y)) * np.eye(dim)
-                first_step = False
-            _bfgs_update(H, s, y)
-        theta, f, g = theta_new, f_new, g_new
-        if f < best_f:
-            best_f, best_theta = f, theta.copy()
-        it += 1
-        converged = np.linalg.norm(g) <= grad_tol
+            if alpha is None:
+                ls_failed = True
+                break
+            s = alpha * d
+            theta_new = theta + s
+            if project is not None:
+                projected = project(theta_new)
+                if not np.array_equal(projected, theta_new):
+                    theta_new = projected
+                    s = theta_new - theta
+            f_new, g_new = objective.cost_grad(theta_new)
+            y = g_new - g
+            ys = y @ s
+            if ys > CURVATURE_EPS:
+                if H is None:
+                    H = np.eye(dim, order="F")
+                    if first_step:
+                        H *= ys / (y @ y)
+                        first_step = False
+                _bfgs_update(H, s, y)
+            theta, f, g = theta_new, f_new, g_new
+            if f < best_f:
+                best_f, best_theta = f, theta.copy()
+            it += 1
+            converged = np.linalg.norm(g) <= grad_tol
+    n_evals = objective.n_evals - evals0
+    if logger.isEnabledFor(logging.DEBUG):
+        exit_kind = "converged" if converged else "line_search" if ls_failed else "max_iters"
+        logger.debug("bfgs: dim=%d iters=%d evals=%d exit=%s f=%.6g -> %.6g",
+                     dim, it, n_evals, exit_kind, f0, best_f)
     return BfgsResult(
         theta=best_theta,
         cost=best_f,
@@ -217,4 +244,5 @@ def bfgs_minimize(
         n_iters=it,
         converged=bool(converged),
         line_search_failed=ls_failed,
+        n_evals=n_evals,
     )

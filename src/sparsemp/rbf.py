@@ -3,7 +3,9 @@
 The kernel is k(t; mu, s2) = exp(-(t - mu)^2 / (2 s2)). Widths are carried
 as squared widths s2 and optimized in log space so positivity never needs a
 constraint. The coupled variant stacks one parameter set per DoF, block by
-block along the rows.
+block along the rows. `basis_and_partials` is the one kernel behind the
+basis refinement: values, accelerations and parameter partials for all
+DoF blocks in one call, optionally into a caller-owned workspace.
 """
 
 from __future__ import annotations
@@ -108,28 +110,46 @@ def eval_basis_accel(t: np.ndarray, params: RbfParams) -> np.ndarray:
 
 
 def basis_and_partials(
-    t: np.ndarray, mu: np.ndarray, s2: np.ndarray
+    t: np.ndarray, mu: np.ndarray, s2: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, ...]:
     """Kernel values, time-accelerations and their parameter partials.
 
     mu and s2 (squared widths) have shape (..., p), e.g. one row per DoF
     block. Returns (Phi, Acc, dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2),
-    each of shape (..., N, p); column j depends only on feature j.
+    each of shape (..., N, p); column j depends only on feature j. They are
+    the six slices of one (6, ..., N, p) array, which is `out` when given:
+    the slices double as scratch, so a repeated call allocates nothing of
+    size N x p.
     """
-    u = np.asarray(t, dtype=float)[:, None] - np.asarray(mu, dtype=float)[..., None, :]
+    t = np.asarray(t, dtype=float)
+    mu = np.asarray(mu, dtype=float)[..., None, :]
     inv = 1.0 / np.asarray(s2, dtype=float)[..., None, :]
-    a = u * inv  # u / s2
-    q = u * a  # u^2 / s2
-    phi = np.exp(-0.5 * q)
-    g = (q - 1.0) * inv  # u^2 / s2^2 - 1 / s2: Acc = Phi * g
-    return (
-        phi,
-        phi * g,
-        phi * a,
-        phi * (0.5 * q),
-        phi * (a * (g - 2.0 * inv)),
-        phi * ((0.5 * q) * g - (2.0 * q - 1.0) * inv),
-    )
+    shape = (6,) + np.broadcast_shapes(mu.shape, inv.shape)[:-2] + (t.size, mu.shape[-1])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"workspace is {out.dtype} {out.shape}, expected float64 {shape}")
+    phi, acc, dpm, dpl, dam, dal = out
+    # With u = t - mu, a = u / s2, q = u^2 / s2 and g = (q - 1) / s2:
+    # Acc = Phi g, dPhi/dmu = Phi a, dPhi/dlogs2 = Phi q / 2,
+    # dAcc/dmu = dPhi/dmu (g - 2 / s2),
+    # dAcc/dlogs2 = (dPhi/dlogs2 (q - 5) + Phi) / s2.
+    u, a, q, g = dpm, dpl, dal, dam
+    np.subtract(t[:, None], mu, out=u)
+    np.multiply(u, inv, out=a)
+    np.multiply(u, a, out=q)
+    np.exp(np.multiply(q, -0.5, out=phi), out=phi)
+    np.multiply(np.subtract(q, 1.0, out=g), inv, out=g)
+    np.multiply(phi, g, out=acc)
+    np.multiply(phi, a, out=dpm)  # u and a are dead from here on
+    np.multiply(np.multiply(q, 0.5, out=dpl), phi, out=dpl)
+    np.subtract(q, 5.0, out=dal)
+    dal *= dpl
+    dal += phi
+    dal *= inv
+    np.subtract(g, 2.0 * inv, out=dam)
+    dam *= dpm
+    return tuple(out)
 
 
 def eval_basis_param_grads(

@@ -287,6 +287,7 @@ def _fit(
             "bfgs_iters": result.n_iters,
             "bfgs_converged": result.converged,
             "bfgs_line_search_failed": result.line_search_failed,
+            "bfgs_evals": result.n_evals,
             "cost_before_en": f_before_en,
             "cost_after_en": f_after_en,
             "res_norm": r_k,

@@ -150,6 +150,13 @@ class TestTrain:
         assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1") == 0
         assert "solve:" not in capsys.readouterr().err
 
+    def test_verbose_logs_each_bfgs_run(self, fixture_dir, tmp_path, capsys):
+        demo = str(fixture_dir / "demo_1.csv")
+        out = str(tmp_path / "lsdp.json")
+        assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1", "-v") == 0
+        err = capsys.readouterr().err
+        assert err.count("bfgs: dim=") == 1 and "evals=" in err
+
     @pytest.mark.parametrize("method", ["dmp", "ridge"])
     def test_baseline_train_and_eval_agree(self, method, fixture_dir, tmp_path, capsys):
         demo = str(fixture_dir / "demo_1.csv")

@@ -1,11 +1,14 @@
+import logging
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import blas
 
-from sparsemp import rbf
+from sparsemp import feature_opt, rbf
 from sparsemp.feature_opt import (
     BfgsResult,
     FeatureObjective,
@@ -141,6 +144,16 @@ class TestFeatureObjective:
         assert obj.cost(theta) == fresh.cost(theta) != f0
         np.testing.assert_array_equal(obj.grad(theta), fresh.grad(theta))
 
+    def test_handed_out_gradient_survives_later_evaluations(self):
+        obj, rng = flat_objective(seed=3)
+        theta = random_theta(3, 1, rng)
+        g = obj.grad(theta)
+        expected = g.copy()
+        for _ in range(3):  # each new point refills the kernel workspace
+            obj.cost_grad(random_theta(3, 1, rng))
+        np.testing.assert_array_equal(g, expected)
+        np.testing.assert_array_equal(obj.grad(theta), expected)
+
     def test_decode_shapes(self):
         obj, rng = flat_objective()
         params = obj.decode(random_theta(3, 1, rng))
@@ -169,18 +182,27 @@ class TestBfgsUpdate:
     def test_matches_product_form(self, dim, seed):
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((dim, dim))
-        H = B @ B.T + 0.1 * np.eye(dim)
+        H = np.asfortranarray(B @ B.T + 0.1 * np.eye(dim))
         s = rng.standard_normal(dim)
         y = rng.standard_normal(dim)
         if y @ s <= 0:
             y = -y
         y += 0.1 * s  # keeps y's away from zero
         expected = product_form_update(H, s, y)
+        before = H.copy()
         _bfgs_update(H, s, y)
+        assert not np.array_equal(np.triu(H), np.triu(before))  # updated in place
         scale = np.abs(expected).max()
-        np.testing.assert_allclose(H, expected, rtol=0, atol=1e-9 * scale)
-        np.testing.assert_array_equal(H, H.T)
-        np.testing.assert_allclose(H @ y, s, rtol=0, atol=1e-9 * scale * np.abs(y).max())
+        np.testing.assert_allclose(np.triu(H), np.triu(expected), rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(
+            blas.dsymv(1.0, H, y), s, rtol=0, atol=1e-9 * scale * np.abs(y).max())
+
+
+    def test_c_ordered_matrix_rejected(self):
+        # f2py would update a copy of a C-ordered H and drop the result
+        H, s = np.eye(3) + 0.5, np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="Fortran"):
+            _bfgs_update(H, s, s)
 
 
 class TestBfgsMinimize:
@@ -262,3 +284,92 @@ class TestBfgsMinimize:
         theta0 = random_theta(2, 1, rng)
         result = bfgs_minimize(obj, theta0)
         assert result.cost == pytest.approx(np.sum(Y ** 2))
+
+
+def pinned_problem():
+    """Three DoF blocks of 12 features fitted from perturbed true parameters."""
+    rng = np.random.default_rng(2024)
+    N, p, nb, m = 50, 12, 3, 2
+    t = np.linspace(0, 1, N)
+    true = StackedRbfParams(per_dof=[
+        RbfParams(mu=np.sort(rng.uniform(0, 1, p)), sigma2=rng.uniform(0.003, 0.02, p))
+        for _ in range(nb)])
+    W = rng.standard_normal((p, m))
+    Y = rbf.stack_basis(t, true)[0] @ W + 0.01 * rng.standard_normal((N * nb, m))
+    theta0 = true.to_theta() + 0.05 * rng.standard_normal(2 * nb * p)
+    return FeatureObjective(t, Y, W, 1e-4, n_dof_blocks=nb), theta0
+
+
+def clamp_centers(theta):
+    out = theta.copy()
+    np.clip(out[:36], 0.1, 0.9, out=out[:36])
+    return out
+
+
+def count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = feature_opt.basis_and_partials
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(feature_opt, "basis_and_partials", counting)
+    return calls
+
+
+class TestBfgsPinned:
+    """Outcomes recorded before the BLAS update and the workspace kernel."""
+
+    @pytest.mark.parametrize("project, cost, kernel_calls", [
+        (None, 72.94154473533207, 52),
+        (clamp_centers, 72.58042215941768, 62),
+    ])
+    def test_forty_iterations(self, project, cost, kernel_calls, monkeypatch):
+        obj, theta0 = pinned_problem()
+        calls = count_kernel_calls(monkeypatch)
+        result = bfgs_minimize(obj, theta0, max_iters=40, project=project)
+        assert result.cost == pytest.approx(cost, rel=1e-9)
+        assert result.n_iters == 40
+        assert not result.converged and not result.line_search_failed
+        assert len(calls) == kernel_calls
+
+
+class TestBfgsTelemetry:
+    def test_n_evals_counts_kernel_calls(self, monkeypatch):
+        obj, theta0 = pinned_problem()
+        obj.cost(theta0)  # the start point is then a cache hit
+        calls = count_kernel_calls(monkeypatch)
+        result = bfgs_minimize(obj, theta0, max_iters=10)
+        assert result.n_evals == len(calls) == obj.n_evals - 1
+        assert result.n_evals >= result.n_iters
+
+    def test_one_record_per_call_names_the_exit(self, caplog):
+        t = np.linspace(0, 1, 60)
+        true = RbfParams(mu=np.array([0.45]), sigma2=np.array([0.03]))
+        W = np.array([[1.3]])
+        obj = FeatureObjective(t, eval_basis(t, true) @ W, W, 0.0)
+        bad, rng = flat_objective(seed=0)
+        bad.grad = lambda theta: -FeatureObjective.grad(bad, theta)
+        runs = [
+            (obj, np.array([0.5, np.log(0.04)]), None, "converged"),
+            (obj, np.array([0.55, np.log(0.05)]), 2, "max_iters"),
+            (bad, random_theta(3, 1, rng), None, "line_search"),
+        ]
+        for objective, theta0, max_iters, exit_kind in runs:
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="sparsemp.feature_opt"):
+                result = bfgs_minimize(objective, theta0, max_iters=max_iters)
+            (record,) = caplog.records
+            fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+            assert fields["exit"] == exit_kind
+            assert int(fields["dim"]) == theta0.size
+            assert int(fields["iters"]) == result.n_iters
+            assert int(fields["evals"]) == result.n_evals
+            assert record.getMessage().endswith(f"-> {result.cost:.6g}")
+
+    def test_disabled_logger_formats_nothing(self, caplog, monkeypatch):
+        caplog.set_level(logging.INFO, logger="sparsemp.feature_opt")
+        monkeypatch.setattr(feature_opt.logger, "debug", pytest.fail)
+        obj, theta0 = pinned_problem()
+        bfgs_minimize(obj, theta0, max_iters=3)

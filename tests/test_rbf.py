@@ -5,6 +5,7 @@ from sparsemp.rbf import (
     SIGMA2_MIN,
     RbfParams,
     StackedRbfParams,
+    basis_and_partials,
     build_basis,
     eval_basis,
     eval_basis_accel,
@@ -163,6 +164,39 @@ class TestParamGrads:
         )
         for ga, gb in zip(grads_after, grads_before):
             np.testing.assert_array_equal(ga[:, 1], gb[:, 1])
+
+
+class TestBasisAndPartials:
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_workspace_call_bit_identical(self, lead):
+        rng = np.random.default_rng(len(lead))
+        t = np.linspace(0, 1, 11)
+        mu = rng.uniform(0, 1, lead + (5,))
+        s2 = rng.uniform(SIGMA2_MIN, 0.2, lead + (5,))
+        fresh = basis_and_partials(t, mu, s2)
+        buf = np.full((6,) + lead + (11, 5), np.nan)
+        for _ in range(2):  # a reused workspace gives the same bits
+            filled = basis_and_partials(t, mu, s2, out=buf)
+            for a, b in zip(fresh, filled):
+                assert a.shape == lead + (11, 5) and np.shares_memory(b, buf)
+                np.testing.assert_array_equal(a, b)
+
+    def test_values_match_eval_basis(self):
+        rng = np.random.default_rng(5)
+        t = np.linspace(-0.2, 1.2, 30)
+        mu = rng.uniform(0, 1, (3, 6))
+        s2 = rng.uniform(1e-4, 0.3, (3, 6))
+        phi, acc = basis_and_partials(t, mu, s2)[:2]
+        for b in range(3):
+            params = RbfParams(mu=mu[b], sigma2=s2[b])
+            np.testing.assert_allclose(phi[b], eval_basis(t, params), rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                acc[b], eval_basis_accel(t, params), rtol=1e-12,
+                atol=1e-12 * np.abs(acc[b]).max())
+
+    def test_wrong_workspace_rejected(self):
+        with pytest.raises(ValueError, match="workspace"):
+            basis_and_partials(np.zeros(4), np.zeros(2), np.ones(2), out=np.empty((6, 2, 4)))
 
 
 class TestStackBasis:

@@ -129,6 +129,8 @@ class TestTrainLsdp:
             assert 0 <= row["bfgs_iters"] <= 5
             assert isinstance(row["bfgs_converged"], bool)
             assert isinstance(row["bfgs_line_search_failed"], bool)
+            assert isinstance(row["bfgs_evals"], int)
+            assert row["bfgs_evals"] >= row["bfgs_iters"]
 
 
 class TestTrainClsdp:
