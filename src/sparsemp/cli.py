@@ -120,9 +120,11 @@ def cmd_segment(args) -> int:
 # ---------------------------------------------------------------- train
 
 def _load_demos(paths) -> trajectory.DemoSet:
-    return trajectory.DemoSet(
-        demos=[trajectory.load_trajectory_csv(p) for p in paths]
-    )
+    demos = [trajectory.load_trajectory_csv(p) for p in paths]
+    try:
+        return trajectory.DemoSet(demos=demos)
+    except ValueError as err:  # demos that do not share one grid
+        raise _UsageError(str(err)) from err
 
 
 def _trainer_config(args) -> TrainerConfig:

@@ -336,8 +336,9 @@ def train_lsdp(demo: JointTrajectory, config: TrainerConfig | None = None) -> Tr
     """Learn a shared sparse basis for one demonstration (columns = DoFs)."""
     config = config or TrainerConfig()
     centered = trajectory.center(demo)
-    mu0, sigma2_0 = _initial_params(demo.t, config)
-    result = _run_with_restarts(demo.t, centered.centered, mu0, sigma2_0, 1, config)
+    t = demo.t - demo.t[0]
+    mu0, sigma2_0 = _initial_params(t, config)
+    result = _run_with_restarts(t, centered.centered, mu0, sigma2_0, 1, config)
     metadata = _metadata(result, demo.n_samples, demo.n_dof, 1, demo.dt,
                          demo.duration, config)
     return TrainedPrimitive(
@@ -345,7 +346,7 @@ def train_lsdp(demo: JointTrajectory, config: TrainerConfig | None = None) -> Tr
         intercepts=centered.intercepts,
         rbf_params=result.params,
         W=result.W,
-        t=demo.t.copy(),
+        t=t,
         metadata=metadata,
     )
 
@@ -355,7 +356,7 @@ def train_clsdp(demos: DemoSet, config: TrainerConfig | None = None) -> TrainedP
     config = config or TrainerConfig()
     stacked = trajectory.stack_demoset(demos)
     intercepts, centered = trajectory.center_stacked(stacked)
-    t = demos.demos[0].t
+    t = demos.demos[0].t - demos.demos[0].t[0]
     mu0, sigma2_0 = _initial_params(t, config)
     result = _run_with_restarts(
         t, centered.Y, mu0, sigma2_0, demos.n_dof, config
@@ -367,7 +368,7 @@ def train_clsdp(demos: DemoSet, config: TrainerConfig | None = None) -> TrainedP
         intercepts=intercepts,
         rbf_params=result.params,
         W=result.W,
-        t=t.copy(),
+        t=t,
         metadata=metadata,
     )
 

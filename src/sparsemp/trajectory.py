@@ -64,7 +64,7 @@ class JointTrajectory:
 
 @dataclass(frozen=True)
 class DemoSet:
-    """A list of dimension-compatible demonstrations (shared N, n, dt)."""
+    """A list of dimension-compatible demonstrations (shared N, n, dt, t0)."""
 
     demos: list[JointTrajectory]
 
@@ -79,6 +79,9 @@ class DemoSet:
                 )
             if abs(demo.dt - ref.dt) > DT_UNIFORMITY_TOL:
                 raise ValueError(f"demo {k} dt {demo.dt} incompatible with {ref.dt}")
+            if abs(demo.t[0] - ref.t[0]) > DT_UNIFORMITY_TOL:
+                raise ValueError(f"demo {k} starts at t={demo.t[0]:.6g} s, demo 0 at "
+                                 f"t={ref.t[0]:.6g} s; demos must share one time grid")
 
     @property
     def n_demos(self) -> int:

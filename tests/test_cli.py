@@ -5,7 +5,11 @@ import pytest
 
 from sparsemp import policy
 from sparsemp.cli import main
-from sparsemp.trajectory import load_trajectory_csv
+from sparsemp.trajectory import (
+    JointTrajectory,
+    load_trajectory_csv,
+    save_trajectory_csv,
+)
 
 
 def run(*argv):
@@ -124,6 +128,19 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_clsdp_rejects_demos_on_different_time_origins(
+        self, fixture_dir, tmp_path, capsys
+    ):
+        demo = load_trajectory_csv(fixture_dir / "demo_2.csv")
+        late = tmp_path / "late.csv"
+        save_trajectory_csv(late, JointTrajectory(t=demo.t + 5.0, Q=demo.Q))
+        code = run(
+            "train", "clsdp", str(fixture_dir / "demo_1.csv"), str(late),
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "usage error: demo 1 starts at t=5" in capsys.readouterr().err
+
     def test_dmp_reports_params_per_dof(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "dmp.json"
         code = run(
@@ -147,6 +164,7 @@ class TestTrain:
         assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1", "-v") == 0
         err = capsys.readouterr().err
         assert "solve: p=" in err and "exit=" in err
+        assert "polish=" in err and "newton_steps=" in err
         assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1") == 0
         assert "solve:" not in capsys.readouterr().err
 

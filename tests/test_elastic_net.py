@@ -224,10 +224,24 @@ def exit_kind(prob: AugmentedProblem, lambda1: float, tol: float, W) -> str:
     return "loose"
 
 
+def solve_record(caplog, *args, **kwargs):
+    """solve's result and the fields of its one DEBUG record."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="sparsemp.elastic_net"):
+        W = solve(*args, **kwargs)
+    (record,) = caplog.records
+    return W, dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+
+
 class TestSolvePinned:
     """Objective, support and exit of solves on a near-duplicate design,
     recorded before the working-set kernel: a change to how much work each
-    sweep or IRLS step does may move round-off, never the iterates."""
+    sweep or IRLS step does may move round-off, never the iterates. The
+    warm solve's counters were recorded before the Newton polish was added:
+    this design rejects the polish, so the solve must not change."""
+
+    # sweeps, IRLS steps and capped/all IRLS calls of the warm solve
+    WARM_COUNTS = {None: ("522", "1100", "11/11"), 13: ("500", "994", "9/10")}
 
     @pytest.mark.parametrize("shift, dead, value, support", [
         (0.003, None, 9.086612990665152, [0, 12, 13, 27, 28, 29, 39]),
@@ -236,7 +250,7 @@ class TestSolvePinned:
         # problem is sliced again.
         (0.003, 13, 9.086943833487616, [0, 12, 14, 27, 28, 29, 39]),
     ])
-    def test_cold_then_warm_on_shifted_basis(self, shift, dead, value, support):
+    def test_cold_then_warm_on_shifted_basis(self, shift, dead, value, support, caplog):
         prob = one_center_per_sample()
         lam = 1e-3 * lambda_max(prob)
         W = solve(prob, lam, tol=1e-6, max_sweeps=20_000)
@@ -245,10 +259,15 @@ class TestSolvePinned:
         assert exit_kind(prob, lam, 1e-6, W) == "loose"
 
         shifted = one_center_per_sample(shift, dead)
-        W = solve(shifted, lam, tol=1e-6, max_sweeps=20_000, warm_start=W)
+        W, fields = solve_record(
+            caplog, shifted, lam, tol=1e-6, max_sweeps=20_000, warm_start=W)
         assert objective(shifted, lam, W) == pytest.approx(value, rel=1e-9)
         assert active_set(W).tolist() == support
         assert exit_kind(shifted, lam, 1e-6, W) == "loose"
+        assert fields["polish"] == "rejected"
+        counts = (fields["sweeps"], fields["irls_steps"], fields["irls_capped"])
+        assert counts == self.WARM_COUNTS[dead]
+        assert fields["exit"] == "loose"
 
 
 class TestSolveTelemetry:
@@ -260,10 +279,7 @@ class TestSolveTelemetry:
         else:
             prob, tol = one_center_per_sample(), 1e-6
             lam = 1e-3 * lambda_max(prob)
-        with caplog.at_level(logging.DEBUG, logger="sparsemp.elastic_net"):
-            W = solve(prob, lam, tol=tol, max_sweeps=20_000)
-        (record,) = caplog.records
-        fields = dict(re.findall(r"(\w+)=(\S+)", record.getMessage()))
+        W, fields = solve_record(caplog, prob, lam, tol=tol, max_sweeps=20_000)
         assert fields["exit"] == exit_kind(prob, lam, tol, W)
         assert float(fields["kkt"]) == pytest.approx(
             kkt_violation(prob, lam, W), rel=1e-3)
@@ -272,6 +288,37 @@ class TestSolveTelemetry:
         assert int(fields["sweeps"]) >= 1
         steps, (capped, calls) = int(fields["irls_steps"]), fields["irls_capped"].split("/")
         assert int(capped) <= int(calls) and 100 * int(capped) <= steps
+
+    def test_polish_exit_kkt(self, caplog):
+        # A warm start at a tight optimum: the polish certifies it unswept.
+        prob, tol = random_problem(N=15, p=4, m=3, seed=7), 1e-8
+        lam = 0.3 * lambda_max(prob)
+        W0 = solve(prob, lam, tol=1e-12)
+        W, fields = solve_record(caplog, prob, lam, tol=tol, warm_start=W0)
+        assert fields["polish"] == "kkt" and int(fields["newton_steps"]) >= 1
+        assert (fields["sweeps"], fields["irls_steps"], fields["exit"]) == ("0", "0", "kkt")
+        assert exit_kind(prob, lam, tol, W) == "kkt"
+        assert objective(prob, lam, W) <= objective(prob, lam, W0)
+
+    def test_polish_rejected_on_a_dead_column(self, caplog):
+        # Row 0 of the start is nonzero but its column is zero: the Newton
+        # system is singular along that row, so the polish leaves W alone
+        # and the sweeps set the row to zero.
+        rng = np.random.default_rng(4)
+        phi, acc = rng.standard_normal((15, 4)), rng.standard_normal((15, 4))
+        phi[:, 0] = acc[:, 0] = 0.0
+        prob = to_lasso(phi, acc, rng.standard_normal((15, 3)), 0.5)
+        lam = 0.3 * lambda_max(prob)
+        start = rng.standard_normal((4, 3))
+        W, fields = solve_record(caplog, prob, lam, tol=1e-8, warm_start=start)
+        assert fields["polish"] == "rejected" and int(fields["sweeps"]) >= 1
+        assert exit_kind(prob, lam, 1e-8, W) == fields["exit"]
+        assert np.all(W[0] == 0.0)
+
+    def test_cold_start_is_not_polished(self, caplog):
+        prob = random_problem(N=15, p=4, m=3, seed=7)
+        _, fields = solve_record(caplog, prob, 0.3 * lambda_max(prob))
+        assert (fields["polish"], fields["newton_steps"]) == ("none", "0")
 
     def test_disabled_logger_formats_nothing(self, caplog, monkeypatch):
         caplog.set_level(logging.INFO, logger="sparsemp.elastic_net")
@@ -478,3 +525,51 @@ class TestGramFormProperties:
         f_oracle = brute_force_objective(prob, lam)
         slack = 1e-9 * (1.0 + f_oracle)
         assert objective(prob, lam, W) - f_oracle <= dual_gap(prob, lam, W) + slack
+
+
+def restricted_objective(G, C, lambda1, W):
+    """F on the nonzero rows, without the constant ||Y_a||^2."""
+    return float(-2.0 * np.vdot(W, C) + np.vdot(W, G @ W)
+                 + lambda1 * np.sum(np.linalg.norm(W, axis=1)))
+
+
+class TestNewtonPolish:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(1, 3), st.floats(0.0, 5.0),
+           st.integers(0, 2**32 - 1))
+    def test_system_matches_finite_differences(self, a, m, lambda1, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((a + 3, a))
+        G, C = X.T @ X + 0.1 * np.eye(a), rng.standard_normal((a, m))
+        # rows kept well away from zero, where the penalty is not smooth
+        Z = rng.standard_normal((a, m))
+        W = Z * (rng.uniform(0.5, 2.0, a) / np.linalg.norm(Z, axis=1))[:, None]
+        H = np.empty((a, m, a, m))
+        grad = elastic_net._newton_system(
+            G, C - G @ W, W, np.linalg.norm(W, axis=1), lambda1, H)
+
+        n, h = a * m, 1e-4
+        f = lambda w: restricted_objective(G, C, lambda1, w.reshape(a, m))
+        w, E = W.reshape(-1), np.eye(n) * h
+        grad_fd = np.array([(f(w + E[i]) - f(w - E[i])) / (2 * h) for i in range(n)])
+        H_fd = np.array([[
+            (f(w + E[i] + E[j]) - f(w + E[i] - E[j])
+             - f(w - E[i] + E[j]) + f(w - E[i] - E[j])) / (4 * h * h)
+            for j in range(n)] for i in range(n)])
+        scale = 1.0 + np.max(np.abs(H_fd))
+        np.testing.assert_allclose(grad.reshape(-1), grad_fd, atol=1e-6 * scale)
+        np.testing.assert_allclose(H.reshape(n, n), H_fd, atol=1e-4 * scale)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 3), st.floats(0.02, 0.9),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_warm_start_never_ends_above_its_start(self, p, m, fraction, seed, near):
+        prob = random_problem(N=20, p=p, m=m, seed=seed, lambda2=0.1)
+        lam = fraction * lambda_max(prob)
+        if near:  # the optimum of a nearby penalty, as along a path
+            start = solve(prob, 1.2 * lam, tol=1e-10)
+        else:
+            start = np.random.default_rng(seed).standard_normal((p, m))
+        f_start = objective(prob, lam, start)
+        W = solve(prob, lam, tol=1e-8, warm_start=start)
+        assert objective(prob, lam, W) <= f_start + 1e-12 * (1.0 + abs(f_start))

@@ -2,11 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemp import policy
 from sparsemp.baselines import train_dmp, train_ridge
 from sparsemp.rbf import RbfParams, StackedRbfParams
-from sparsemp.trainers import TrainedPrimitive
+from sparsemp.trainers import TrainedPrimitive, TrainerConfig, evaluate, train_lsdp
 from sparsemp.trajectory import JointTrajectory
 
 
@@ -119,6 +121,38 @@ class TestPrimitiveRoundTrip:
         doc = json.loads(path.read_text())
         assert doc["ground_truth"] is True
         assert doc["schema_version"] == policy.SCHEMA_VERSION
+
+
+def round_trip_residual(demo, tmp_path):
+    """evaluate's residual of an lsdp fit to demo, before and after a
+    save/load round trip, each on the policy's own time grid."""
+    prim = train_lsdp(demo, TrainerConfig(initial_p=6, max_outer_iters=1,
+                                           bfgs_max_iters=2))
+    path = tmp_path / "p.json"
+    policy.save_policy(path, prim)
+    back = policy.load_policy(path)
+    _, before = evaluate(prim, prim.t, demo.Q)
+    _, after = evaluate(back, back.t, demo.Q)
+    return before.res_norm, after.res_norm
+
+
+class TestTimeOrigin:
+    def test_late_demo_means_the_same_after_reload(self, tmp_path):
+        # A demo recorded from t = 5 s: the policy's grid starts at 0, as
+        # the loaded one is rebuilt, so both reconstruct the same motion.
+        demo = smooth_demo()
+        late = JointTrajectory(t=demo.t + 5.0, Q=demo.Q)
+        before, after = round_trip_residual(late, tmp_path)
+        assert after == pytest.approx(before, rel=1e-9)
+        assert before == pytest.approx(round_trip_residual(demo, tmp_path)[0], rel=1e-6)
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.floats(-100.0, 100.0), st.floats(1e-3, 0.05))
+    def test_round_trip_any_origin_and_step(self, tmp_path_factory, t0, dt):
+        demo = smooth_demo(N=40, dt=dt)
+        demo = JointTrajectory(t=t0 + demo.t, Q=demo.Q)
+        before, after = round_trip_residual(demo, tmp_path_factory.mktemp("rt"))
+        assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
 
 
 class TestBaselineRoundTrip:

@@ -61,6 +61,12 @@ class TestDemoSet:
         with pytest.raises(ValueError):
             DemoSet(demos=[make_traj(dt=0.01), make_traj(dt=0.02)])
 
+    def test_rejects_time_origin_mismatch(self):
+        late = make_traj(seed=1)
+        late = JointTrajectory(t=late.t + 5.0, Q=late.Q)
+        with pytest.raises(ValueError, match="demo 1 starts at t=5"):
+            DemoSet(demos=[make_traj(seed=0), late])
+
     def test_properties(self):
         ds = DemoSet(demos=[make_traj(seed=0), make_traj(seed=1)])
         assert ds.n_demos == 2
