@@ -10,9 +10,13 @@ is solved in covariance form (glmnet's "covariance updates"): block
 coordinate descent and the optimality certificate only ever need the Gram
 matrix G = Phi_a^T Phi_a (p x p), the correlations C = Phi_a^T Y_a and the
 energy ||Y_a||^2, so no step touches a row of the design. Each certificate
-check computes G W afresh; between checks the sweeps and the IRLS step carry
-D_w = C - G W on the working-set rows only, and IRLS works on the nonzero
-rows' blocks of G, C and D_w, so a step costs no more than the working set.
+check computes G W afresh. Between checks the sweeps carry, on the
+working-set rows only, the shifted correlations E_w = D_w + diag(G_ww) W_w
+with D_w = C - G W: row k's block target is then e_k itself, and moving
+row k is one rank-one update of E_w by column k of G_ww with its diagonal
+zeroed, which leaves e_k as it is. IRLS takes D_w = E_w - diag(G_ww) W_w
+and works on the nonzero rows' blocks of G, C and D_w, so a step costs no
+more than the working set.
 A warm start is first polished by Newton steps on its nonzero rows, which
 certifies a path point whose support is already right without a sweep.
 """
@@ -185,13 +189,14 @@ def solve(
 
     Blocks are whole coefficient rows (one feature across all tasks); the
     update of row j needs only D[j] = phi_j^T R = C[j] - (G W)[j]. Cyclic
-    sweeps run over a working set grown by worst KKT violation, carrying D
-    for its rows only, so a block update costs O(|work| m); an IRLS jump on
-    the nonzero rows accelerates near-duplicate designs. Returns once the
-    KKT residual certifies the iterate (kkt_violation <= 10 tol) or the
-    duality gap drops below tol scale; degenerate designs where neither
-    certificate is attainable fall back to a sqrt(tol)-scale gap bound
-    late in the sweep budget. Logs one DEBUG record per call.
+    sweeps run over a working set grown by worst KKT violation, carrying the
+    shifted correlations D[j] + G_jj w_j for its rows only, so a block
+    update costs O(|work| m); an IRLS jump on the nonzero rows accelerates
+    near-duplicate designs. Returns once the KKT residual certifies the
+    iterate (kkt_violation <= 10 tol) or the duality gap drops below tol
+    scale; degenerate designs where neither certificate is attainable fall
+    back to a sqrt(tol)-scale gap bound late in the sweep budget. Logs one
+    DEBUG record per call.
 
     A warm start is first polished by Newton steps on its nonzero rows, each
     strictly lowering F without zeroing a row. W is written only if the Newton
@@ -213,23 +218,30 @@ def solve(
     GW = G @ W
     irls_steps = irls_calls = irls_capped = 0
 
-    def sweep(idx, blocks, D_w, nonzero) -> float:
-        # blocks holds each working-set row's views (W row, D_w row, G_ww
-        # column, G_jj); nonzero flags the rows of W that are not all zero.
+    def sweep(idx, blocks, E_w, nonzero) -> float:
+        # blocks holds each working-set row's views (W row, E_w row, G_off
+        # column, G_kk). E_w = D_w + diag(G_ww) W_w are the shifted
+        # correlations: row k's block target is e_k = d_k + G_kk w_k read in
+        # place, zero row or not, and moving w_k changes every e_j but its
+        # own, so one rank-one update with the zero-diagonal G_off keeps E_w
+        # current. nonzero flags the rows of W that are not all zero.
         W_old = W[idx]
-        for k, (w_old, d, g_col, g_jj) in enumerate(blocks):
-            if g_jj == 0.0:
+        for k, (w_old, e, g_col, g_kk) in enumerate(blocks):
+            if g_kk == 0.0:
                 continue
-            z = d + g_jj * w_old if nonzero[k] else d
-            zn = math.sqrt(z @ z)
-            if not nonzero[k] and 2.0 * zn <= lambda1:
-                continue  # a zero row that stays zero
-            scale = max(0.0, 1.0 - lambda1 / (2.0 * zn)) if zn > 0.0 else 0.0
-            w_new = z * (scale / g_jj)
-            # D_w -= outer(G_ww[:, k], w_new - w_old), in place.
-            blas.dger(-1.0, g_col, w_new - w_old, a=D_w, overwrite_a=True)
+            zn = math.sqrt(e.dot(e))
+            if 2.0 * zn <= lambda1:  # the row is, or becomes, zero
+                if nonzero[k]:
+                    # E_w -= outer(G_off[:, k], 0 - w_old), in place.
+                    blas.dger(1.0, g_col, w_old, a=E_w, overwrite_a=True)
+                    w_old[...] = 0.0
+                    nonzero[k] = False
+                continue
+            w_new = e * ((1.0 - lambda1 / (2.0 * zn)) / g_kk)
+            # E_w -= outer(G_off[:, k], w_new - w_old), in place.
+            blas.dger(-1.0, g_col, w_new - w_old, a=E_w, overwrite_a=True)
             w_old[...] = w_new
-            nonzero[k] = scale > 0.0
+            nonzero[k] = True
         # Each row moves at most once per sweep: this is the max |delta|.
         return float(np.maximum.reduce(np.abs(W[idx] - W_old), axis=None))
 
@@ -245,29 +257,30 @@ def solve(
         a = np.flatnonzero(norms > 0)
         rows, norms, W_a, D_a = idx[a], norms[a], W[idx[a]], D_w[a]
         G_aa, C_a = G_ww[np.ix_(a, a)], np.asfortranarray(C[idx[a]])
+        # The system matrix G_AA + diag(lambda1 / (2 ||w_j||)) is symmetric,
+        # so LAPACK factors its buffer in place through the transposed view.
+        A, half_lam = np.empty_like(G_aa), 0.5 * lambda1
+        penalty = lambda1 * float(norms.sum())
+        f = prob.energy - float(np.vdot(W_a, C_a + D_a)) + penalty
         steps = 0
         while rows.size and steps < max_inner:
             steps += 1
-            A = G_aa.copy()
-            A.reshape(-1)[:: rows.size + 1] += lambda1 / (2.0 * norms)
-            _, _, W_s, info = lapack.dgesv(A, C_a)
+            np.copyto(A, G_aa)
+            A.reshape(-1)[:: rows.size + 1] += half_lam / norms
+            _, _, W_s, info = lapack.dgesv(A.T, C_a, overwrite_a=True)
             if info != 0:
                 break
             delta = W_s - W_a
             D_trial = D_a - G_aa @ delta
-            norms_s = np.linalg.norm(W_s, axis=1)
+            norms_s = np.sqrt(np.add.reduce(W_s * W_s, axis=1))
+            penalty_s = lambda1 * float(norms_s.sum())
             # With D = C - GW, F(W) = ||Y_a||^2 - <W, C + D> + penalty, and
             # F(W + delta) - F(W) = -<delta, D + D_trial> + penalty change
             # is differenced directly rather than through ||Y_a||^2.
-            penalty = lambda1 * float(norms.sum())
-            f_old = prob.energy - float(np.vdot(W_a, C_a + D_a)) + penalty
-            f_change = (
-                lambda1 * float(norms_s.sum()) - penalty
-                - float(np.vdot(delta, D_a + D_trial))
-            )
-            if f_change >= -1e-15 * (1.0 + abs(f_old)):
+            f_change = penalty_s - penalty - float(np.vdot(delta, D_a + D_trial))
+            if f_change >= -1e-15 * (1.0 + abs(f)):
                 break
-            W_a, D_a, norms = W_s, D_trial, norms_s
+            W_a, D_a, norms, penalty, f = W_s, D_trial, norms_s, penalty_s, f + f_change
             if np.maximum.reduce(np.abs(delta), axis=None) <= tol:
                 break
             if not norms.all():  # a row reached exactly zero: drop it
@@ -275,6 +288,7 @@ def solve(
                 keep = norms > 0
                 rows, W_a, D_a, norms = rows[keep], W_a[keep], D_a[keep], norms[keep]
                 G_aa, C_a = G_aa[np.ix_(keep, keep)], C_a[keep]
+                A, penalty = np.empty_like(G_aa), lambda1 * float(norms.sum())
         W[rows] = W_a
         irls_calls, irls_steps = irls_calls + 1, irls_steps + steps
         irls_capped += steps == max_inner
@@ -354,21 +368,23 @@ def solve(
         kind, kkt, gap = certified()
         polish, kind = ("kkt", kind) if kind == "kkt" else ("continued", None)
     while kind is None and sweeps < max_sweeps:
-        # GW is current here. D_w is Fortran-ordered so that dger updates it
-        # in place; G is symmetric, so row k of G_ww is its column k.
+        # GW is current here. E_w is Fortran-ordered so that dger updates it
+        # in place; G is symmetric, so row k of G_off is its column k.
         idx = np.array(work)
         G_ww = G[np.ix_(idx, idx)]
-        D_w = np.asfortranarray(C[idx] - GW[idx])
-        blocks = list(zip([W[j] for j in idx], D_w, G_ww, np.diagonal(G_ww).tolist()))
-        nonzero = W[idx].any(axis=1).tolist()
+        g = np.diagonal(G_ww)
+        G_off, W_w = G_ww - np.diag(g), W[idx]
+        E_w = np.asfortranarray(C[idx] - GW[idx] + g[:, None] * W_w)
+        blocks = list(zip([W[j] for j in idx], E_w, G_off, g.tolist()))
+        nonzero = W_w.any(axis=1).tolist()
         for _ in range(50):
             if sweeps >= max_sweeps:
                 break
-            change = sweep(idx, blocks, D_w, nonzero)
+            change = sweep(idx, blocks, E_w, nonzero)
             sweeps += 1
             if change <= tol:
                 break
-        irls_refine(idx, G_ww, D_w)
+        irls_refine(idx, G_ww, E_w - g[:, None] * W[idx])
         kind, kkt, gap = certified()
     if kind is None and sweeps == 0:  # no budget: certify the start as it is
         kind, kkt, gap = certified()

@@ -44,12 +44,6 @@ class RbfParams:
         """Optimization vector [mu, log sigma2]."""
         return np.concatenate([self.mu, np.log(self.sigma2)])
 
-    @staticmethod
-    def from_theta(theta: np.ndarray) -> "RbfParams":
-        theta = np.asarray(theta, dtype=float)
-        p = theta.size // 2
-        return RbfParams(mu=theta[:p], sigma2=np.exp(theta[p:]))
-
     def select(self, keep: np.ndarray) -> "RbfParams":
         return RbfParams(mu=self.mu[keep], sigma2=self.sigma2[keep])
 
@@ -80,16 +74,6 @@ class StackedRbfParams:
         mus = np.concatenate([params.mu for params in self.per_dof])
         logs = np.concatenate([np.log(params.sigma2) for params in self.per_dof])
         return np.concatenate([mus, logs])
-
-    @staticmethod
-    def from_theta(theta: np.ndarray, n_dof: int) -> "StackedRbfParams":
-        theta = np.asarray(theta, dtype=float)
-        p = theta.size // (2 * n_dof)
-        mus = theta[: n_dof * p].reshape(n_dof, p)
-        logs = theta[n_dof * p:].reshape(n_dof, p)
-        return StackedRbfParams(
-            per_dof=[RbfParams(mu=mus[i], sigma2=np.exp(logs[i])) for i in range(n_dof)]
-        )
 
     def select(self, keep: np.ndarray) -> "StackedRbfParams":
         return StackedRbfParams(per_dof=[params.select(keep) for params in self.per_dof])

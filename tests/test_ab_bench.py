@@ -39,3 +39,42 @@ class TestSummarize:
         s = ab_bench.summarize([(2.0, 2.0)] * 3, "lower")
         assert s["wins"] == {"head": 0, "base": 0}
         assert s["base"] == s["head"]
+
+
+def summary_of(base, head, better="lower"):
+    return ab_bench.summarize(list(zip(base, head)), better)
+
+
+class TestVerdict:
+    BASE = [1.00, 0.98, 1.02, 0.99, 1.01, 1.00, 0.97, 1.03, 1.00, 1.00]
+
+    def test_improved_needs_nine_wins_and_a_gap_wider_than_the_spread(self):
+        head = [0.8] * 10
+        assert ab_bench.verdict(summary_of(self.BASE, head), 0.25) == "improved"
+        # Eight wins in ten are not enough, however large the gain.
+        head = [0.8] * 8 + [1.2, 1.2]
+        assert ab_bench.verdict(summary_of(self.BASE, head), 0.25) == "unchanged"
+
+    def test_gain_inside_the_base_spread_is_unchanged(self):
+        # The head wins every pair, but its median moves by less than the
+        # base's interquartile range (0.015 here).
+        head = [b - 0.005 for b in self.BASE]
+        s = summary_of(self.BASE, head)
+        assert s["wins"]["head"] == 10
+        assert ab_bench.verdict(s, 0.25) == "unchanged"
+
+    def test_worse_beyond_the_bound(self):
+        assert ab_bench.verdict(summary_of(self.BASE, [1.3] * 10), 0.25) == "worse"
+        assert ab_bench.verdict(summary_of(self.BASE, [1.2] * 10), 0.25) == "unchanged"
+
+    def test_higher_is_better(self):
+        assert ab_bench.verdict(summary_of(self.BASE, [1.5] * 10, "higher"), 0.25) == "improved"
+        assert ab_bench.verdict(summary_of(self.BASE, [0.7] * 10, "higher"), 0.25) == "worse"
+
+    def test_base_spread_wider_than_the_bound_is_unresolved(self):
+        base = [1.0, 2.0, 1.0, 2.0, 1.5, 1.0, 2.0, 1.0, 2.0, 1.5]
+        assert ab_bench.verdict(summary_of(base, base), 0.25) == "unresolved"
+        assert ab_bench.verdict(summary_of(base, base), 1.0) == "unchanged"
+
+    def test_equal_sides_are_unchanged(self):
+        assert ab_bench.verdict(summary_of(self.BASE, self.BASE), 0.1) == "unchanged"

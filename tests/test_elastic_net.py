@@ -22,6 +22,7 @@ from sparsemp.elastic_net import (
     to_lasso,
 )
 from sparsemp.rbf import RbfParams, StackedRbfParams, build_basis
+from sparsemp.reg_path import compute_path
 
 
 def random_problem(N=12, p=3, m=2, seed=0, lambda2=0.0):
@@ -268,6 +269,36 @@ class TestSolvePinned:
         counts = (fields["sweeps"], fields["irls_steps"], fields["irls_capped"])
         assert counts == self.WARM_COUNTS[dead]
         assert fields["exit"] == "loose"
+
+
+class TestPathPinned:
+    """A warm-started 5-point path on the near-duplicate design, recorded
+    before the sweeps carried shifted correlations: each point's objective,
+    support and solver counters. A change to the bookkeeping of a sweep or
+    an IRLS step may move round-off, never the iterates or their count."""
+
+    # objective, support, (polish, sweeps, IRLS steps, capped/all IRLS calls)
+    POINTS = [
+        (47.78545083742906, [], ("none", "1", "0", "0/1")),
+        (33.512711904132814, [8, 33, 34, 35], ("none", "517", "1002", "10/12")),
+        (21.8112678876537, [0, 12, 27, 28, 39], ("rejected", "500", "949", "9/10")),
+        (11.592673231608803, [0, 12, 27, 28, 39], ("rejected", "500", "1000", "10/10")),
+        (9.088720501693796, [0, 12, 13, 14, 15, 16, 17, 21, 24, 25, 26, 27, 28, 39],
+         ("rejected", "500", "1000", "10/10")),
+    ]
+
+    def test_warm_started_path(self, caplog):
+        prob = one_center_per_sample()
+        with caplog.at_level(logging.DEBUG, logger="sparsemp.elastic_net"):
+            path = compute_path(prob, n_lambdas=5, tol=1e-6, max_sweeps=20_000)
+        records = [dict(re.findall(r"(\w+)=(\S+)", r.getMessage())) for r in caplog.records]
+        assert len(records) == len(self.POINTS)
+        for lam, W, fields, (value, support, counts) in zip(
+                path.lambdas, path.coefs, records, self.POINTS):
+            assert objective(prob, lam, W) == pytest.approx(value, rel=1e-9)
+            assert active_set(W).tolist() == support
+            assert (fields["polish"], fields["sweeps"], fields["irls_steps"],
+                    fields["irls_capped"]) == counts
 
 
 class TestSolveTelemetry:

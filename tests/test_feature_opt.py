@@ -58,7 +58,7 @@ class TestFeatureObjective:
     def test_cost_matches_direct_evaluation(self):
         obj, rng = flat_objective(seed=1)
         theta = random_theta(3, 1, rng)
-        params = RbfParams.from_theta(theta)
+        params = obj.decode(theta)
         Phi = eval_basis(obj.t, params)
         from sparsemp.rbf import eval_basis_accel
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemp import trajectory
 from sparsemp.trajectory import (
@@ -209,6 +211,57 @@ class TestSegmentation:
         _, peaks = segment_demonstrations(stream, 2, 1.0)
         _, peaks_shifted = segment_demonstrations(shifted, 2, 1.0)
         assert sorted(p + m for p in peaks_shifted) == sorted(peaks)
+
+
+@st.composite
+def streams(draw):
+    """A stream of 20-200 samples and a window of 2 samples up to the whole
+    stream. Integer-step streams make speed ties common."""
+    n_samples = draw(st.integers(20, 200))
+    n_dof = draw(st.integers(1, 3))
+    dt = draw(st.sampled_from([0.002, 0.01, 0.05]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        steps = rng.standard_normal((n_samples, n_dof))
+    else:
+        steps = rng.integers(-1, 2, (n_samples, n_dof)).astype(float)
+    stream = JointTrajectory(t=np.arange(n_samples) * dt, Q=np.cumsum(steps, axis=0))
+    return stream, draw(st.integers(2, n_samples))
+
+
+class TestSegmentationProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(streams(), st.integers(1, 6))
+    def test_selected_windows(self, data, count):
+        stream, length = data
+        try:
+            demos, peaks = segment_demonstrations(stream, count, length * stream.dt)
+        except SegmentationError:
+            return
+        half = length // 2
+        assert len(peaks) == count == demos.n_demos
+        # Pairwise at least one window apart.
+        assert all(abs(a - b) >= length for i, a in enumerate(peaks) for b in peaks[:i])
+        for peak, demo in zip(peaks, demos.demos):
+            start = peak - half
+            # The whole window lies inside the stream ...
+            assert 0 <= start and start + length <= stream.n_samples
+            # ... and the demo is that slice of it, on a clock starting at 0.
+            np.testing.assert_array_equal(demo.Q, stream.Q[start:start + length])
+            assert demo.t[0] == 0.0 and demo.n_samples == length
+            assert demo.dt == pytest.approx(stream.dt)
+        # Peaks are taken in order of non-increasing speed.
+        speed = joint_speed(stream.Q, stream.dt)[peaks]
+        assert np.all(np.diff(speed) <= 0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(streams(), st.integers(1, 3))
+    def test_more_windows_than_fit(self, data, extra):
+        # At most N // length disjoint windows fit in a stream of N samples.
+        stream, length = data
+        count = stream.n_samples // length + extra
+        with pytest.raises(SegmentationError):
+            segment_demonstrations(stream, count, length * stream.dt)
 
 
 class TestSynthDemoset:

@@ -8,9 +8,10 @@ BENCHMARK.json) N times on each side, alternating which side goes first in
 each pair so that slow drift of the machine hits both equally. The base side
 is a detached `git worktree` of --base, removed afterwards, unless --base-dir
 names an existing checkout of it. Writes BENCH_<pr>.json at the repository
-root: per workload, seed and end-to-end metric, each side's q1/median/q3 and
-the number of pairs each side won (a tie counts for neither), plus the
-attempted and failed ops of each side. Standard library only.
+root: per workload, seed and end-to-end metric, each side's q1/median/q3,
+the number of pairs each side won (a tie counts for neither) and a verdict
+(see `verdict`), plus the attempted and failed ops of each side. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -50,6 +51,28 @@ def summarize(pairs: list[tuple[float, float]], better: str) -> dict:
     }
 
 
+def verdict(summary: dict, bound: float) -> str:
+    """What a summarized metric shows, `bound` being its relative bound.
+
+    "improved": the head won at least 9 in 10 pairs and its median is better
+    than the base median by more than the base's interquartile range;
+    "worse": the head median is worse than the base median by more than
+    bound times the base median; "unresolved": the base's interquartile
+    range is wider than that bound, too wide to tell; "unchanged" otherwise.
+    """
+    sign = 1.0 if summary["better"] == "lower" else -1.0
+    base, head = summary["base"], summary["head"]
+    gain = sign * (base["median"] - head["median"])
+    spread, limit = base["q3"] - base["q1"], bound * abs(base["median"])
+    if 10 * summary["wins"]["head"] >= 9 * summary["pairs"] and gain > spread:
+        return "improved"
+    if -gain > limit:
+        return "worse"
+    if spread > limit:
+        return "unresolved"
+    return "unchanged"
+
+
 def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
               seconds: float) -> dict:
     """The result line of one benchmark run in `checkout`, with the
@@ -74,13 +97,13 @@ def measure(command, checkouts: dict, workload: str, seed: int, seconds: float,
             results[side].append(run_bench(command, checkouts[side], workload, seed, seconds))
             print(f"{workload} seed={seed} pair {k + 1}/{n_pairs} {side}: "
                   f"{results[side][-1]['metrics']['op_s']['value']:.4g} s", file=sys.stderr)
-    summary = {
-        m["name"]: summarize(
+    summary = {}
+    for m in metrics:
+        summary[m["name"]] = summarize(
             [(b["metrics"][m["name"]]["value"], h["metrics"][m["name"]]["value"])
              for b, h in zip(results["base"], results["head"])],
             m["better"])
-        for m in metrics
-    }
+        summary[m["name"]]["verdict"] = verdict(summary[m["name"]], m["bound"])
     ops = {side: {"attempted": sum(r["attempted"] for r in runs),
                   "failed": sum(r["failed"] for r in runs)}
            for side, runs in results.items()}
