@@ -17,8 +17,9 @@ row k is one rank-one update of E_w by column k of G_ww with its diagonal
 zeroed, which leaves e_k as it is. IRLS takes D_w = E_w - diag(G_ww) W_w
 and works on the nonzero rows' blocks of G, C and D_w, so a step costs no
 more than the working set.
-A warm start is first polished by Newton steps on its nonzero rows, which
-certifies a path point whose support is already right without a sweep.
+A warm start is first polished by Newton steps on its nonzero rows (a x a
+systems only), which certifies a path point whose support is right unswept;
+if they converged but the support grew, cycles hand off to them before IRLS.
 """
 
 from __future__ import annotations
@@ -164,18 +165,24 @@ def dual_gap(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
     return gap
 
 
-def _newton_system(G_aa, D_a, W_a, norms, lambda1: float, H: np.ndarray) -> np.ndarray:
-    """Gradient -2 D_A + lambda1 u_j, u_j = w_j / ||w_j||, of F on the nonzero
-    rows A; fills H (a, m, a, m), which acts on W_A.reshape(-1) as a square,
-    with the Hessian 2 G_AA (x) I_m + blockdiag(lambda1/||w_j|| (I - u_j u_j^T)).
-    """
-    a, m = W_a.shape
-    U, rows = W_a / norms[:, None], np.arange(a)
-    H.fill(0.0)
-    H[:, np.arange(m), :, np.arange(m)] = 2.0 * G_aa
-    H[rows, :, rows, :] += (lambda1 / norms)[:, None, None] * (
-        np.eye(m) - U[:, :, None] * U[:, None, :])
-    return lambda1 * U - 2.0 * D_a
+def _newton_step(G_aa, D_a, W_a, norms, lambda1: float):
+    """Gradient g = lambda1 U - 2 D_A of F on the nonzero rows A, u_j = w_j /
+    ||w_j||, and the step d solving H d = -g, or None unless H is SPD. H is
+    M (x) I_m - sum_j c_j e_j e_j^T (x) u_j u_j^T, c_j = lambda1 / ||w_j||, M = 2 G_AA
+    + diag(c); by Woodbury d = M^-1 (-g + diag(z) U), K z = rowdot(U, M^-1 (-g)),
+    a x a systems only. K = diag(1/c) - M^-1 o (U U^T), SPD exactly when H is, is
+    factored as S K S, S = diag(sqrt c), so that lambda1 = 0 needs no special case."""
+    a, U, c = norms.size, W_a / norms[:, None], lambda1 / norms
+    grad = lambda1 * U - 2.0 * D_a
+    L, info = lapack.dpotrf(2.0 * G_aa + np.diag(c), overwrite_a=True)
+    if info == 0:
+        M_inv, s = lapack.dpotrs(L, np.eye(a), overwrite_b=True)[0], np.sqrt(c)
+        L, info = lapack.dpotrf(np.eye(a) - np.outer(s, s) * M_inv * (U @ U.T), overwrite_a=True)
+    if info != 0:
+        return grad, None
+    X = M_inv @ -grad
+    y = lapack.dpotrs(L, s * np.einsum("ij,ij->i", U, X))[0]
+    return grad, X + M_inv @ ((s * y)[:, None] * U)
 
 
 def solve(
@@ -199,10 +206,11 @@ def solve(
     DEBUG record per call.
 
     A warm start is first polished by Newton steps on its nonzero rows, each
-    strictly lowering F without zeroing a row. W is written only if the Newton
-    decrement reaches the round-off level of F within a few steps; the point
-    is then optimal on those rows alone, so the solve returns only on the KKT
-    exit, which checks every row, and else cycles on from it.
+    lowering F without zeroing a row, strictly unless the decrement is at the
+    round-off level of F; W is written only if it gets there within a few
+    steps. That point is optimal on those rows alone, so the solve returns only
+    on the KKT exit; else each cycle sweeps until the nonzero rows stay put and
+    polishes them again, with IRLS only where that polish is rejected.
     """
     if lambda1 < 0:
         raise ValueError("lambda1 must be nonnegative")
@@ -295,24 +303,24 @@ def solve(
 
     def newton_polish(max_steps: int = 8) -> tuple[str, int]:
         rows = np.flatnonzero(W.any(axis=1))
+        if not rows.size:
+            return "none", 0
         G_aa, C_a, W_a = G[np.ix_(rows, rows)], C[rows], W[rows]
         D_a, norms = C_a - G_aa @ W_a, np.linalg.norm(W_a, axis=1)
         f_tol = 1e-15 * (1.0 + abs(prob.energy - float(np.vdot(W_a, C_a + D_a))
                                    + lambda1 * norms.sum()))
-        H = np.empty((rows.size, m, rows.size, m))
         for steps in range(1, max_steps + 1):
-            grad = _newton_system(G_aa, D_a, W_a, norms, lambda1, H).reshape(-1)
-            # H is symmetric: its transposed square view is Fortran-ordered.
-            _, delta, info = lapack.dposv(H.reshape(grad.size, -1).T, -grad, overwrite_a=True)
-            if info != 0:
+            grad, delta = _newton_step(G_aa, D_a, W_a, norms, lambda1)
+            if delta is None:
                 return "rejected", steps
-            decrement, delta = -float(grad @ delta), delta.reshape(W_a.shape)
+            decrement = -float(np.vdot(grad, delta))
             W_s, D_s = W_a + delta, D_a - G_aa @ delta
             norms_s = np.linalg.norm(W_s, axis=1)
-            # F(W + delta) < F(W), differenced through D as in irls_refine, with
-            # ||w + d|| - ||w|| = <2w + d, d> / (||w + d|| + ||w||) for tiny steps.
+            # F(W + delta) < F(W) through D as in irls_refine, with ||w + d|| -
+            # ||w|| = <2w + d, d> / (||w + d|| + ||w||); at round-off it may fail.
             grow = np.einsum("ij,ij->i", 2.0 * W_a + delta, delta) / (norms_s + norms)
-            if not (lambda1 * grow.sum() < np.vdot(delta, D_a + D_s) and norms_s.all()):
+            descent = lambda1 * grow.sum() < np.vdot(delta, D_a + D_s)
+            if not (norms_s.all() and (descent or decrement <= f_tol)):
                 return "rejected", steps
             W_a, D_a, norms = W_s, D_s, norms_s
             if decrement <= f_tol:
@@ -363,10 +371,11 @@ def solve(
     loose_after = min(max_sweeps, max(50, min(500, max_sweeps // 4)))
     sweeps = 0
     kind = None
-    polish, newton_steps = newton_polish() if W.any() else ("none", 0)
+    polish, newton_steps = newton_polish()
     if polish == "polished":
         kind, kkt, gap = certified()
         polish, kind = ("kkt", kind) if kind == "kkt" else ("continued", None)
+    handoff, handoffs = polish == "continued", []
     while kind is None and sweeps < max_sweeps:
         # GW is current here. E_w is Fortran-ordered so that dger updates it
         # in place; G is symmetric, so row k of G_off is its column k.
@@ -380,19 +389,25 @@ def solve(
         for _ in range(50):
             if sweeps >= max_sweeps:
                 break
+            support = list(nonzero)
             change = sweep(idx, blocks, E_w, nonzero)
             sweeps += 1
-            if change <= tol:
+            if change <= tol or (handoff and nonzero == support):
                 break
-        irls_refine(idx, G_ww, E_w - g[:, None] * W[idx])
+        if handoff:
+            outcome, steps = newton_polish()
+            handoffs.append(outcome == "polished")
+            newton_steps += steps
+        if not (handoff and handoffs[-1]):
+            irls_refine(idx, G_ww, E_w - g[:, None] * W[idx])
         kind, kkt, gap = certified()
     if kind is None and sweeps == 0:  # no budget: certify the start as it is
         kind, kkt, gap = certified()
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("solve: p=%d polish=%s newton_steps=%d sweeps=%d irls_steps=%d "
-                     "irls_capped=%d/%d exit=%s kkt=%.3e gap=%.3e", p, polish,
-                     newton_steps, sweeps, irls_steps, irls_capped, irls_calls,
-                     kind or "none", kkt, gap)
+                     "irls_capped=%d/%d handoffs=%d/%d exit=%s kkt=%.3e gap=%.3e", p,
+                     polish, newton_steps, sweeps, irls_steps, irls_capped, irls_calls,
+                     sum(handoffs), len(handoffs), kind or "none", kkt, gap)
     if kind is not None:
         return W
     raise ConvergenceError(

@@ -78,3 +78,14 @@ class TestVerdict:
 
     def test_equal_sides_are_unchanged(self):
         assert ab_bench.verdict(summary_of(self.BASE, self.BASE), 0.1) == "unchanged"
+
+    def test_round_off_shift_of_a_deterministic_metric_is_unchanged(self):
+        # Zero spread: without a floor, a 1e-12 shift in every pair would
+        # read as improved or worse.
+        base = [0.914] * 10
+        for shift in (-1e-12, 1e-12):
+            s = summary_of(base, [b * (1.0 + shift) for b in base])
+            assert max(s["wins"].values()) == 10
+            assert ab_bench.verdict(s, 0.25) == "unchanged"
+        s = summary_of(base, [b * (1.0 - 1e-6) for b in base])
+        assert ab_bench.verdict(s, 0.25) == "improved"

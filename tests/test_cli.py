@@ -164,7 +164,7 @@ class TestTrain:
         assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1", "-v") == 0
         err = capsys.readouterr().err
         assert "solve: p=" in err and "exit=" in err
-        assert "polish=" in err and "newton_steps=" in err
+        assert "polish=" in err and "newton_steps=" in err and "handoffs=" in err
         assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1") == 0
         assert "solve:" not in capsys.readouterr().err
 

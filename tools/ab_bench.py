@@ -26,6 +26,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Median differences within this share of the base median are round-off:
+# a deterministic quality metric has zero spread, so any shift would count.
+ROUNDOFF_FLOOR = 1e-9
 
 
 def quartiles(values: list[float]) -> dict:
@@ -55,7 +58,8 @@ def verdict(summary: dict, bound: float) -> str:
     """What a summarized metric shows, `bound` being its relative bound.
 
     "improved": the head won at least 9 in 10 pairs and its median is better
-    than the base median by more than the base's interquartile range;
+    than the base median by more than the base's interquartile range and
+    by more than ROUNDOFF_FLOOR times the base median;
     "worse": the head median is worse than the base median by more than
     bound times the base median; "unresolved": the base's interquartile
     range is wider than that bound, too wide to tell; "unchanged" otherwise.
@@ -64,7 +68,8 @@ def verdict(summary: dict, bound: float) -> str:
     base, head = summary["base"], summary["head"]
     gain = sign * (base["median"] - head["median"])
     spread, limit = base["q3"] - base["q1"], bound * abs(base["median"])
-    if 10 * summary["wins"]["head"] >= 9 * summary["pairs"] and gain > spread:
+    floor = ROUNDOFF_FLOOR * abs(base["median"])
+    if 10 * summary["wins"]["head"] >= 9 * summary["pairs"] and gain > max(spread, floor):
         return "improved"
     if -gain > limit:
         return "worse"
