@@ -13,14 +13,7 @@ from .elastic_net import (
 )
 from .feature_opt import FeatureObjective, bfgs_minimize
 from .policy import load_policy, save_policy
-from .rbf import (
-    RbfParams,
-    StackedRbfParams,
-    eval_basis,
-    eval_basis_accel,
-    eval_basis_param_grads,
-    stack_basis,
-)
+from .rbf import RbfParams, StackedRbfParams, basis_and_partials, build_basis, eval_basis
 from .reg_path import FeatureRanking, PathResult, compute_path, rank_features
 from .trainers import (
     FitReport,

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rbf import RbfParams, eval_basis, eval_basis_accel
+from .rbf import RbfParams, build_basis, eval_basis
 from .trajectory import JointTrajectory
 
 
@@ -160,15 +160,6 @@ def rollout_dmp(
     return JointTrajectory(t=t, Q=out)
 
 
-def dmp_initial_acceleration(model: DmpModel, y0: np.ndarray | None = None) -> np.ndarray:
-    """|ydd(0)| per DoF; grows when the start is shifted away from training."""
-    y = model.y0 if y0 is None else np.asarray(y0, float)
-    f0 = _forcing_design(np.array([1.0]), model.centers, model.widths)[0] @ model.weights.T
-    return np.abs(
-        (model.alpha_z * model.beta_z * (model.goal - y) + f0) / model.tau ** 2
-    )
-
-
 def uniform_ridge_basis(duration: float, n_basis: int = 10) -> RbfParams:
     """Centers spread uniformly; adjacent kernels cross at exp(-1/2)."""
     centers = np.linspace(0.0, duration, n_basis)
@@ -185,8 +176,7 @@ def train_ridge(
         raise ValueError("lambda2 must be nonnegative")
     params = uniform_ridge_basis(demo.duration, n_basis)
     t = demo.t - demo.t[0]
-    Phi = eval_basis(t, params)
-    Acc = eval_basis_accel(t, params)
+    Phi, Acc = build_basis(t, params)
     intercepts = demo.Q.mean(axis=0)
     Yc = demo.Q - intercepts
 
@@ -205,4 +195,4 @@ def ridge_reconstruct(model: RidgeModel, t: np.ndarray | None = None) -> np.ndar
 
 
 def ridge_acc_norm(model: RidgeModel) -> float:
-    return float(np.linalg.norm(eval_basis_accel(model.t, model.rbf_params) @ model.W))
+    return float(np.linalg.norm(build_basis(model.t, model.rbf_params)[1] @ model.W))

@@ -108,9 +108,10 @@ def lambda_max(prob: AugmentedProblem) -> float:
     """Smallest penalty for which the all-zero solution is optimal.
 
     KKT at W = 0 for the unscaled objective requires
-    ||2 phi_j^T Y_a||_2 <= lambda1 for every feature j.
+    ||2 phi_j^T Y_a||_2 <= lambda1 for every feature j. The norm is taken as
+    `solve`'s sweep takes it, so a cold solve at lambda_max stays exactly zero.
     """
-    return float(2.0 * np.max(np.linalg.norm(prob.corr, axis=1), initial=0.0))
+    return 2.0 * max((math.sqrt(c.dot(c)) for c in prob.corr), default=0.0)
 
 
 def objective(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
@@ -438,7 +439,7 @@ def prune(
             f"coefficients have {W.shape[0]} rows but params hold "
             f"{params.n_features} features"
         )
-    keep = np.linalg.norm(W, axis=1) > tol_prune
-    if not np.any(keep):
+    keep = active_set(W, tol_prune)
+    if not keep.size:
         raise EmptyModelError("empty model: all features pruned")
     return W[keep], params.select(keep)

@@ -3,9 +3,10 @@
 The kernel is k(t; mu, s2) = exp(-(t - mu)^2 / (2 s2)). Widths are carried
 as squared widths s2 and optimized in log space so positivity never needs a
 constraint. The coupled variant stacks one parameter set per DoF, block by
-block along the rows. `basis_and_partials` is the one kernel behind the
-basis refinement: values, accelerations and parameter partials for all
-DoF blocks in one call, optionally into a caller-owned workspace.
+block along the rows. `basis_and_partials` is the one implementation of the
+kernel: values, accelerations and parameter partials for all DoF blocks in
+one call, optionally into a caller-owned workspace. `build_basis` and
+`eval_basis` run only its first half, the values and accelerations.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ class RbfParams:
         object.__setattr__(self, "sigma2", sigma2)
         if mu.shape != sigma2.shape or mu.ndim != 1 or mu.size < 1:
             raise ValueError(f"inconsistent parameter shapes: {mu.shape}, {sigma2.shape}")
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
+        if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
             raise ValueError("non-finite basis parameters")
-        if np.any(sigma2 < SIGMA2_MIN):
+        if (sigma2 < SIGMA2_MIN).any():
             raise ValueError(f"width below sigma2_min={SIGMA2_MIN}")
 
     @property
@@ -79,18 +80,16 @@ class StackedRbfParams:
         return StackedRbfParams(per_dof=[params.select(keep) for params in self.per_dof])
 
 
-def eval_basis(t: np.ndarray, params: RbfParams) -> np.ndarray:
-    """N x p matrix of kernel evaluations."""
-    u = np.asarray(t, dtype=float)[:, None] - params.mu[None, :]
-    return np.exp(-(u ** 2) / (2.0 * params.sigma2[None, :]))
-
-
-def eval_basis_accel(t: np.ndarray, params: RbfParams) -> np.ndarray:
-    """Analytic second time derivative of eval_basis."""
-    u = np.asarray(t, dtype=float)[:, None] - params.mu[None, :]
-    s2 = params.sigma2[None, :]
-    phi = np.exp(-(u ** 2) / (2.0 * s2))
-    return phi * (u ** 2 / s2 ** 2 - 1.0 / s2)
+def _values(t, mu, inv, phi, acc, a, g, q) -> None:
+    """The kernel's first half: Phi and Acc for times t (N,), centers mu and
+    inverse squared widths inv (..., 1, p). With u = t - mu it leaves
+    a = u / s2, g = (q - 1) / s2 and q = u^2 / s2 in their buffers."""
+    np.subtract(t[:, None], mu, out=g)  # u, until g is formed
+    np.multiply(g, inv, out=a)
+    np.multiply(g, a, out=q)
+    np.exp(np.multiply(q, -0.5, out=phi), out=phi)
+    np.multiply(np.subtract(q, 1.0, out=g), inv, out=g)
+    np.multiply(phi, g, out=acc)
 
 
 def basis_and_partials(
@@ -118,14 +117,9 @@ def basis_and_partials(
     # Acc = Phi g, dPhi/dmu = Phi a, dPhi/dlogs2 = Phi q / 2,
     # dAcc/dmu = dPhi/dmu (g - 2 / s2),
     # dAcc/dlogs2 = (dPhi/dlogs2 (q - 5) + Phi) / s2.
-    u, a, q, g = dpm, dpl, dal, dam
-    np.subtract(t[:, None], mu, out=u)
-    np.multiply(u, inv, out=a)
-    np.multiply(u, a, out=q)
-    np.exp(np.multiply(q, -0.5, out=phi), out=phi)
-    np.multiply(np.subtract(q, 1.0, out=g), inv, out=g)
-    np.multiply(phi, g, out=acc)
-    np.multiply(phi, a, out=dpm)  # u and a are dead from here on
+    a, g, q = dpl, dam, dal
+    _values(t, mu, inv, phi, acc, a, g, q)
+    np.multiply(phi, a, out=dpm)  # a is dead from here on
     np.multiply(np.multiply(q, 0.5, out=dpl), phi, out=dpl)
     np.subtract(q, 5.0, out=dal)
     dal *= dpl
@@ -136,36 +130,24 @@ def basis_and_partials(
     return tuple(out)
 
 
-def eval_basis_param_grads(
-    t: np.ndarray, params: RbfParams
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Partials of Phi and its acceleration w.r.t. mu and log sigma2.
-
-    Returns (dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2), each N x p;
-    column j depends only on feature j's parameters.
-    """
-    return basis_and_partials(t, params.mu, params.sigma2)[2:]
-
-
-def stack_basis(
-    t: np.ndarray, stacked: StackedRbfParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """(N*n) x p basis and acceleration, DoF block i from per_dof[i]."""
-    N = np.asarray(t).size
-    n, p = stacked.n_dof, stacked.n_features
-    Phi = np.empty((N * n, p))
-    PhiAcc = np.empty((N * n, p))
-    for i, params in enumerate(stacked.per_dof):
-        block = slice(N * i, N * (i + 1))
-        Phi[block] = eval_basis(t, params)
-        PhiAcc[block] = eval_basis_accel(t, params)
-    return Phi, PhiAcc
-
-
 def build_basis(
     t: np.ndarray, params: RbfParams | StackedRbfParams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to the flat or stacked evaluation."""
+    """Basis values and their time-accelerations, each N x p, or (n*N) x p
+    for stacked parameters with DoF block i (rows N*i to N*(i+1)) from
+    per_dof[i]. Equal to the first two slices of `basis_and_partials`."""
     if isinstance(params, StackedRbfParams):
-        return stack_basis(t, params)
-    return eval_basis(t, params), eval_basis_accel(t, params)
+        mu = np.stack([block.mu for block in params.per_dof])
+        s2 = np.stack([block.sigma2 for block in params.per_dof])
+    else:
+        mu, s2 = params.mu, params.sigma2
+    t, p = np.asarray(t, dtype=float), mu.shape[-1]
+    shape = mu.shape[:-1] + (t.size, p)
+    phi, acc = np.empty((2,) + shape)  # scratch apart, so it is freed on return
+    _values(t, mu[..., None, :], 1.0 / s2[..., None, :], phi, acc, *np.empty((3,) + shape))
+    return phi.reshape(-1, p), acc.reshape(-1, p)
+
+
+def eval_basis(t: np.ndarray, params: RbfParams | StackedRbfParams) -> np.ndarray:
+    """The basis values of `build_basis`."""
+    return build_basis(t, params)[0]

@@ -11,6 +11,7 @@ coefficient count independent of the number of joints.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -21,8 +22,19 @@ from .elastic_net import AugmentedProblem, EmptyModelError
 from .rbf import RbfParams, StackedRbfParams
 from .trajectory import DemoSet, JointTrajectory
 
+logger = logging.getLogger(__name__)
+
 PENALTY_FLOOR_FACTOR = 1e-12
 DESCENT_SLACK = 1e-7
+# One DEBUG record per outer iteration, filled from its trace row.
+ITERATION_RECORD = (
+    "fit: iteration=%(iteration)d n_features=%(n_features)d "
+    "smooth_cost=%(smooth_cost_before_bfgs).6g->%(smooth_cost_after_bfgs).6g "
+    "bfgs_iters=%(bfgs_iters)d bfgs_converged=%(bfgs_converged)s "
+    "bfgs_line_search_failed=%(bfgs_line_search_failed)s bfgs_evals=%(bfgs_evals)d "
+    "cost=%(cost_before_en).6g->%(cost_after_en).6g res_norm=%(res_norm).6g "
+    "lambda1=%(lambda1).6g"
+)
 
 
 class TrainingError(RuntimeError):
@@ -132,6 +144,12 @@ def _initial_params(t: np.ndarray, config: TrainerConfig) -> tuple[np.ndarray, f
     return mu0, config.initial_sigma2
 
 
+def _uniform_basis(mu0: np.ndarray, sigma2_0: float, n_blocks: int):
+    """Centers mu0 at one width: flat for one block, else stacked per block."""
+    params = RbfParams(mu=mu0, sigma2=np.full(mu0.size, sigma2_0))
+    return params if n_blocks == 1 else StackedRbfParams(per_dof=[params] * n_blocks)
+
+
 @dataclass
 class _FitResult:
     params: RbfParams | StackedRbfParams
@@ -161,19 +179,7 @@ def _fit(
     config: TrainerConfig,
 ) -> _FitResult:
     """One run of the alternating loop on centered data."""
-    p0 = mu0.size
-    if n_blocks == 1:
-        params: RbfParams | StackedRbfParams = RbfParams(
-            mu=mu0, sigma2=np.full(p0, sigma2_0)
-        )
-    else:
-        params = StackedRbfParams(
-            per_dof=[
-                RbfParams(mu=mu0.copy(), sigma2=np.full(p0, sigma2_0))
-                for _ in range(n_blocks)
-            ]
-        )
-
+    params = _uniform_basis(mu0, sigma2_0, n_blocks)
     Phi, PhiAcc = rbf.build_basis(t, params)
     lam_max0 = elastic_net.lambda_max(
         elastic_net.to_lasso(Phi, PhiAcc, Y, 0.0)
@@ -293,6 +299,7 @@ def _fit(
             "res_norm": r_k,
             "lambda1": lam1,
         })
+        logger.debug(ITERATION_RECORD, trace[-1])
         converged = abs(f_k - f_prev) < config.epsilon
 
         lam1, lam2 = scale_penalties(lam1, lam2, r_k, max(r_prev, np.finfo(float).tiny),
@@ -399,16 +406,11 @@ def reconstruct(prim: TrainedPrimitive, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if t.min() < prim.t[0] - 1e-12 or t.max() > prim.t[-1] + 1e-12:
         raise ValueError("evaluation times outside the trained window")
+    Y = rbf.eval_basis(t, prim.rbf_params) @ prim.W
     if prim.mode == "lsdp":
-        Phi = rbf.eval_basis(t, prim.rbf_params)
-        return Phi @ prim.W + prim.intercepts
-    N = t.size
-    n, d = prim.rbf_params.n_dof, prim.W.shape[1]
-    out = np.empty((N, n, d))
-    for i, params_i in enumerate(prim.rbf_params.per_dof):
-        block = rbf.eval_basis(t, params_i) @ prim.W
-        out[:, i, :] = block + prim.intercepts[i]
-    return out
+        return Y + prim.intercepts
+    # DoF-major rows: block i is DoF i, reordered to (N, n, d).
+    return Y.reshape(prim.n_dof, t.size, -1).transpose(1, 0, 2) + prim.intercepts
 
 
 def evaluate(
@@ -481,7 +483,7 @@ def select_penalties_cv(
     bounds = np.linspace(0, N, folds + 1).astype(int)
     if np.any(np.diff(bounds) < 2):
         raise ValueError("degenerate fold: fewer than 2 samples")
-    mu0, sigma2_0 = _initial_params(t, config)
+    params = _uniform_basis(*_initial_params(t, config), n_blocks)
 
     def block_rows(sample_idx):
         return np.concatenate([sample_idx + N * b for b in range(n_blocks)])
@@ -492,15 +494,8 @@ def select_penalties_cv(
         for f in range(folds):
             test_idx = np.arange(bounds[f], bounds[f + 1])
             train_idx = np.setdiff1d(np.arange(N), test_idx)
-            if n_blocks == 1:
-                params = RbfParams(mu=mu0, sigma2=np.full(mu0.size, sigma2_0))
-            else:
-                params = StackedRbfParams(per_dof=[
-                    RbfParams(mu=mu0, sigma2=np.full(mu0.size, sigma2_0))
-                    for _ in range(n_blocks)
-                ])
-            Phi_tr, Acc_tr = _basis_rows(t, train_idx, params, n_blocks)
-            Phi_te, _ = _basis_rows(t, test_idx, params, n_blocks)
+            Phi_tr, Acc_tr = rbf.build_basis(t[train_idx], params)
+            Phi_te = rbf.eval_basis(t[test_idx], params)
             Y_tr = Y[block_rows(train_idx)]
             Y_te = Y[block_rows(test_idx)]
             prob = elastic_net.to_lasso(Phi_tr, Acc_tr, Y_tr, lam2)
@@ -511,10 +506,3 @@ def select_penalties_cv(
         scores.append(float(np.mean(fold_resid)))
     best = int(np.argmin(scores))
     return grid[best]
-
-
-def _basis_rows(t, sample_idx, params, n_blocks):
-    t_sub = t[sample_idx]
-    if n_blocks == 1:
-        return rbf.eval_basis(t_sub, params), rbf.eval_basis_accel(t_sub, params)
-    return rbf.stack_basis(t_sub, params)

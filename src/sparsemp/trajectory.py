@@ -8,9 +8,11 @@ shared across all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from .rbf import RbfParams, eval_basis
 
 DT_UNIFORMITY_TOL = 1e-9
 
@@ -37,12 +39,12 @@ class JointTrajectory:
             raise ValueError(f"time grid and joint matrix disagree: {t.shape} vs {Q.shape}")
         if Q.shape[0] < 2 or Q.shape[1] < 1:
             raise ValueError(f"need at least 2 samples and 1 DoF, got {Q.shape}")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(Q))):
+        if not (np.isfinite(t).all() and np.isfinite(Q).all()):
             raise ValueError("non-finite values in trajectory")
         steps = np.diff(t)
-        if np.any(steps <= 0):
+        if (steps <= 0).any():
             raise ValueError("time grid must be strictly increasing")
-        if np.max(steps) - np.min(steps) > DT_UNIFORMITY_TOL:
+        if steps.max() - steps.min() > DT_UNIFORMITY_TOL:
             raise ValueError("non-uniform sampling")
 
     @property
@@ -130,13 +132,6 @@ class StackedData:
     def n_demos(self) -> int:
         return self.Y.shape[1]
 
-    def row_index(self, dof: int, sample: int) -> int:
-        return self.n_samples * dof + sample
-
-    def demo_matrix(self, j: int) -> np.ndarray:
-        """Recover demo j as an N x n joint matrix."""
-        return self.Y[:, j].reshape(self.n_dof, self.n_samples).T
-
 
 def center(traj: JointTrajectory) -> CenteredData:
     """Remove per-joint means; the means become the intercepts."""
@@ -167,15 +162,6 @@ def stack_demoset(demos: DemoSet) -> StackedData:
     for j, demo in enumerate(demos.demos):
         Y[:, j] = demo.Q.T.reshape(-1)
     return StackedData(Y=Y, n_samples=N, n_dof=n)
-
-
-def unstack_demoset(stacked: StackedData, t: np.ndarray) -> DemoSet:
-    """Inverse of stack_demoset."""
-    demos = [
-        JointTrajectory(t=t, Q=stacked.demo_matrix(j))
-        for j in range(stacked.n_demos)
-    ]
-    return DemoSet(demos=demos)
 
 
 def joint_speed(Q: np.ndarray, dt: float) -> np.ndarray:
@@ -283,13 +269,11 @@ def synth_demoset(
         widths = np.full(k_features, 0.1)
     else:
         widths = np.asarray(widths, dtype=float)
-    if np.any(widths <= 0):
-        raise ValueError("planted widths must be positive")
 
     W = coef_scale * rng.standard_normal((k_features, n_dof, n_demos))
     intercepts = rng.uniform(-1.0, 1.0, size=(n_dof, n_demos))
 
-    Phi = np.exp(-((t[:, None] - centers[None, :]) ** 2) / (2.0 * widths[None, :]))
+    Phi = eval_basis(t, RbfParams(mu=centers, sigma2=widths))
     demos = []
     for j in range(n_demos):
         Q = Phi @ W[:, :, j] + intercepts[:, j]

@@ -89,3 +89,14 @@ class TestVerdict:
             assert ab_bench.verdict(s, 0.25) == "unchanged"
         s = summary_of(base, [b * (1.0 - 1e-6) for b in base])
         assert ab_bench.verdict(s, 0.25) == "improved"
+
+
+class TestSrcLines:
+    def test_counts_every_python_file_of_the_package(self, tmp_path):
+        package = tmp_path / "src" / "sparsemp"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("x = 1\ny = 2\n")
+        (package / "sub" / "b.py").write_text("z = 3\n")
+        (package / "notes.txt").write_text("not code\n")
+        (tmp_path / "tools.py").write_text("outside = True\n")
+        assert ab_bench.src_lines(tmp_path) == 3

@@ -4,7 +4,6 @@ import pytest
 from sparsemp.baselines import (
     DmpModel,
     RidgeModel,
-    dmp_initial_acceleration,
     ridge_acc_norm,
     ridge_reconstruct,
     rollout_dmp,
@@ -91,13 +90,6 @@ class TestRolloutDmp:
             rollout_dmp(model, dt=0.0)
         with pytest.raises(ValueError):
             rollout_dmp(model, duration=-1.0)
-
-    def test_shifted_start_raises_initial_acceleration(self):
-        model = train_dmp(smooth_demo(seed=6))
-        base = dmp_initial_acceleration(model)
-        shifted = dmp_initial_acceleration(model, model.y0 + 1.0)
-        assert np.all(shifted >= base)
-        assert np.any(shifted > base)
 
 
 class TestUniformRidgeBasis:

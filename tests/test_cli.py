@@ -168,6 +168,18 @@ class TestTrain:
         assert run("train", "lsdp", demo, "--out", out, "--max-iters", "1") == 0
         assert "solve:" not in capsys.readouterr().err
 
+    def test_verbose_logs_each_outer_iteration(self, fixture_dir, tmp_path, capsys):
+        demo = str(fixture_dir / "demo_1.csv")
+        out = tmp_path / "lsdp.json"
+        assert run("train", "lsdp", demo, "--out", str(out), "--max-iters", "3", "-v") == 0
+        lines = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("fit: ")]
+        trace = policy.load_policy(out).metadata["trace"]
+        assert len(lines) == len(trace) >= 2
+        for k, (line, row) in enumerate(zip(lines, trace), start=1):
+            assert f"iteration={k} n_features={row['n_features']} " in line
+            assert f"bfgs_iters={row['bfgs_iters']} " in line and "res_norm=" in line
+
     def test_verbose_logs_each_bfgs_run(self, fixture_dir, tmp_path, capsys):
         demo = str(fixture_dir / "demo_1.csv")
         out = str(tmp_path / "lsdp.json")

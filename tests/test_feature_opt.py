@@ -59,10 +59,7 @@ class TestFeatureObjective:
         obj, rng = flat_objective(seed=1)
         theta = random_theta(3, 1, rng)
         params = obj.decode(theta)
-        Phi = eval_basis(obj.t, params)
-        from sparsemp.rbf import eval_basis_accel
-
-        Acc = eval_basis_accel(obj.t, params)
+        Phi, Acc = rbf.build_basis(obj.t, params)
         expected = np.sum((obj.Y - Phi @ obj.W) ** 2) + obj.lambda2 * np.sum(
             (Acc @ obj.W) ** 2
         )
@@ -118,7 +115,8 @@ class TestFeatureObjective:
         per_dof = params.per_dof if n_blocks > 1 else [params]
         gmu, glogs = np.zeros((n_blocks, p)), np.zeros((n_blocks, p))
         for b, block_params in enumerate(per_dof):
-            dpm, dpl, dam, dal = rbf.eval_basis_param_grads(t, block_params)
+            dpm, dpl, dam, dal = rbf.basis_and_partials(
+                t, block_params.mu, block_params.sigma2)[2:]
             R = Y[b * N:(b + 1) * N] - Phi[b * N:(b + 1) * N] @ W
             A = Acc[b * N:(b + 1) * N] @ W
             gmu[b] = -2 * np.sum((dpm.T @ R) * W, 1) + 2 * lam2 * np.sum((dam.T @ A) * W, 1)
@@ -295,7 +293,7 @@ def pinned_problem():
         RbfParams(mu=np.sort(rng.uniform(0, 1, p)), sigma2=rng.uniform(0.003, 0.02, p))
         for _ in range(nb)])
     W = rng.standard_normal((p, m))
-    Y = rbf.stack_basis(t, true)[0] @ W + 0.01 * rng.standard_normal((N * nb, m))
+    Y = rbf.build_basis(t, true)[0] @ W + 0.01 * rng.standard_normal((N * nb, m))
     theta0 = true.to_theta() + 0.05 * rng.standard_normal(2 * nb * p)
     return FeatureObjective(t, Y, W, 1e-4, n_dof_blocks=nb), theta0
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemp.feature_opt import FeatureObjective
 from sparsemp.rbf import (
@@ -9,10 +11,16 @@ from sparsemp.rbf import (
     basis_and_partials,
     build_basis,
     eval_basis,
-    eval_basis_accel,
-    eval_basis_param_grads,
-    stack_basis,
 )
+
+
+def eval_basis_accel(t, params):
+    return build_basis(t, params)[1]
+
+
+def eval_basis_param_grads(t, params):
+    """(dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2) of a flat parameter set."""
+    return basis_and_partials(t, params.mu, params.sigma2)[2:]
 
 
 def random_params(p=3, seed=0, lo=0.01, hi=0.5):
@@ -197,10 +205,8 @@ class TestBasisAndPartials:
         phi, acc = basis_and_partials(t, mu, s2)[:2]
         for b in range(3):
             params = RbfParams(mu=mu[b], sigma2=s2[b])
-            np.testing.assert_allclose(phi[b], eval_basis(t, params), rtol=1e-12, atol=0)
-            np.testing.assert_allclose(
-                acc[b], eval_basis_accel(t, params), rtol=1e-12,
-                atol=1e-12 * np.abs(acc[b]).max())
+            np.testing.assert_array_equal(phi[b], eval_basis(t, params))
+            np.testing.assert_array_equal(acc[b], eval_basis_accel(t, params))
 
     def test_wrong_workspace_rejected(self):
         with pytest.raises(ValueError, match="workspace"):
@@ -212,7 +218,7 @@ class TestStackBasis:
         params = random_params(p=3, seed=9)
         stacked = StackedRbfParams(per_dof=[params])
         t = np.linspace(0, 1, 10)
-        Phi_s, Acc_s = stack_basis(t, stacked)
+        Phi_s, Acc_s = build_basis(t, stacked)
         np.testing.assert_array_equal(Phi_s, eval_basis(t, params))
         np.testing.assert_array_equal(Acc_s, eval_basis_accel(t, params))
 
@@ -220,14 +226,14 @@ class TestStackBasis:
         params = random_params(p=3, seed=10)
         stacked = StackedRbfParams(per_dof=[params, params])
         t = np.linspace(0, 1, 8)
-        Phi_s, _ = stack_basis(t, stacked)
+        Phi_s, _ = build_basis(t, stacked)
         np.testing.assert_array_equal(Phi_s[:8], Phi_s[8:])
 
     def test_blocks_match_per_dof_evaluation(self):
         per_dof = [random_params(p=4, seed=s) for s in range(3)]
         stacked = StackedRbfParams(per_dof=per_dof)
         t = np.linspace(0, 1, 11)
-        Phi_s, Acc_s = stack_basis(t, stacked)
+        Phi_s, Acc_s = build_basis(t, stacked)
         assert Phi_s.shape == (33, 4)
         for i, params in enumerate(per_dof):
             block = slice(11 * i, 11 * (i + 1))
@@ -238,6 +244,57 @@ class TestStackBasis:
         params = random_params(p=2, seed=11)
         t = np.linspace(0, 1, 5)
         flat = build_basis(t, params)
-        np.testing.assert_array_equal(flat[0], eval_basis(t, params))
+        np.testing.assert_array_equal(flat[0], basis_and_partials(t, params.mu, params.sigma2)[0])
         stacked = build_basis(t, StackedRbfParams(per_dof=[params, params]))
         assert stacked[0].shape == (10, 2)
+
+
+@st.composite
+def stacked_bases(draw):
+    """N times on [0, 1] and 1-4 DoF blocks of p features centred there.
+    Widths of at least 0.01 keep every value clear of underflow."""
+    N, p, n_blocks = draw(st.integers(2, 30)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    per_dof = [RbfParams(mu=rng.uniform(0.0, 1.0, p), sigma2=rng.uniform(0.01, 1.0, p))
+               for _ in range(n_blocks)]
+    return np.linspace(0.0, 1.0, N), StackedRbfParams(per_dof=per_dof)
+
+
+KERNEL = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+class TestKernelProperties:
+    @KERNEL
+    @given(stacked_bases())
+    def test_stacked_blocks_equal_flat_calls(self, case):
+        t, stacked = case
+        N = t.size
+        Phi, Acc = build_basis(t, stacked)
+        assert Phi.shape == Acc.shape == (stacked.n_dof * N, stacked.n_features)
+        for i, params in enumerate(stacked.per_dof):
+            Phi_i, Acc_i = build_basis(t, params)
+            np.testing.assert_array_equal(Phi[N * i:N * (i + 1)], Phi_i)
+            np.testing.assert_array_equal(Acc[N * i:N * (i + 1)], Acc_i)
+        first = stacked.per_dof[0]
+        for single, flat in zip(build_basis(t, StackedRbfParams(per_dof=[first])),
+                                build_basis(t, first)):
+            np.testing.assert_array_equal(single, flat)
+
+    @KERNEL
+    @given(stacked_bases())
+    def test_acceleration_is_the_second_time_difference(self, case):
+        t, stacked = case
+        h = 1e-4
+        _, Acc = build_basis(t, stacked)
+        fd = (eval_basis(t + h, stacked) - 2.0 * eval_basis(t, stacked)
+              + eval_basis(t - h, stacked)) / h ** 2
+        np.testing.assert_allclose(Acc, fd, rtol=0, atol=1e-6 * (1.0 + np.abs(Acc).max()))
+
+    @KERNEL
+    @given(stacked_bases())
+    def test_values_in_unit_interval_and_one_at_the_centre(self, case):
+        t, stacked = case
+        Phi = eval_basis(t, stacked)
+        assert np.all(Phi > 0.0) and np.all(Phi <= 1.0)
+        for params in stacked.per_dof:
+            assert np.all(np.diagonal(eval_basis(params.mu, params)) == 1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemp import elastic_net, reg_path
 from sparsemp.elastic_net import AugmentedProblem, lambda_max, to_lasso
@@ -93,6 +95,19 @@ class TestComputePath:
         with pytest.raises(elastic_net.ConvergenceError):
             for lam in path.lambdas:
                 elastic_net.solve(prob, lam, max_sweeps=budget)
+
+
+class TestLambdaMaxPoint:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(3, 30), st.integers(1, 8), st.integers(1, 8),
+           st.integers(0, 2**32 - 1))
+    def test_solution_is_exactly_zero_at_lambda_max(self, N, p, m, seed):
+        # lambda_max and the sweep's zero threshold must round alike, or a
+        # round-off row survives at the first grid point and enters there.
+        prob = random_problem(N=N, p=p, m=m, seed=seed)
+        assert np.all(elastic_net.solve(prob, lambda_max(prob)) == 0.0)
+        path = compute_path(prob, n_lambdas=3, ratio=0.5)
+        assert not np.any(path.entry_lambda == path.lambdas[0])
 
 
 class TestRankFeatures:

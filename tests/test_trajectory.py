@@ -16,7 +16,6 @@ from sparsemp.trajectory import (
     segment_demonstrations,
     stack_demoset,
     synth_demoset,
-    unstack_demoset,
 )
 
 
@@ -120,20 +119,13 @@ class TestStacking:
         for i in range(3):
             for k in range(5):
                 for j in range(2):
-                    assert stacked.Y[stacked.row_index(i, k), j] == (
+                    assert stacked.Y[5 * i + k, j] == (
                         demos.demos[j].Q[k, i]
                     )
 
     def test_paper_scale_shape(self):
         demos = DemoSet(demos=[make_traj(N=500, n=7, seed=j) for j in range(5)])
         assert stack_demoset(demos).Y.shape == (3500, 5)
-
-    def test_unstack_is_inverse(self):
-        demos = DemoSet(demos=[make_traj(N=8, n=4, seed=j) for j in range(3)])
-        stacked = stack_demoset(demos)
-        back = unstack_demoset(stacked, demos.demos[0].t)
-        for orig, rec in zip(demos.demos, back.demos):
-            np.testing.assert_array_equal(orig.Q, rec.Q)
 
     def test_center_stacked_per_demo_blocks(self):
         demos = DemoSet(demos=[make_traj(N=8, n=4, seed=j) for j in range(3)])

@@ -10,8 +10,8 @@ is a detached `git worktree` of --base, removed afterwards, unless --base-dir
 names an existing checkout of it. Writes BENCH_<pr>.json at the repository
 root: per workload, seed and end-to-end metric, each side's q1/median/q3,
 the number of pairs each side won (a tie counts for neither) and a verdict
-(see `verdict`), plus the attempted and failed ops of each side. Standard
-library only.
+(see `verdict`), plus the attempted and failed ops of each side and each
+side's line count of src/sparsemp. Standard library only.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ def verdict(summary: dict, bound: float) -> str:
     if spread > limit:
         return "unresolved"
     return "unchanged"
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's Python source in `checkout`."""
+    return sum(len(path.read_text().splitlines())
+               for path in (checkout / "src" / "sparsemp").rglob("*.py"))
 
 
 def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
@@ -155,10 +161,11 @@ def main(argv=None) -> int:
         runs = [measure(spec["command"], {"base": base, "head": ROOT}, w, s,
                         args.seconds, args.pairs, spec["end_to_end"])
                 for w in workloads for s in seeds]
+        lines = {"base": src_lines(base), "head": src_lines(ROOT)}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps({
         "base": rev, "head": "working tree", "pairs": args.pairs,
-        "seconds": args.seconds, "runs": runs,
+        "seconds": args.seconds, "src_lines": lines, "runs": runs,
     }, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
