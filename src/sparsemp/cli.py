@@ -173,11 +173,14 @@ def cmd_train(args) -> int:
 
 
 def _train(args) -> int:
-    demos = _load_demos(args.demos)
     method = args.method
+    if method != "clsdp" and len(args.demos) != 1:
+        raise _UsageError(f"{method} trains on exactly one demonstration; "
+                          "use clsdp for several")
+    if args.cv_folds is not None and args.cv_folds < 2:
+        raise _UsageError("--cv-folds must be >= 2")
+    demos = _load_demos(args.demos)
     if method in ("dmp", "ridge"):
-        if len(args.demos) != 1:
-            raise _UsageError(f"{method} trains on exactly one demonstration")
         demo = demos.demos[0]
         if method == "dmp":
             model = baselines.train_dmp(demo, n_basis=args.n_basis)
@@ -191,25 +194,20 @@ def _train(args) -> int:
         return 0
 
     config = _trainer_config(args)
-    if args.cv_folds:
+    data = demos if method == "clsdp" else demos.demos[0]
+    if args.cv_folds is not None:
         lam_grid = [
             (l1, l2)
             for l1 in np.geomspace(1e-3, 1.0, 5)
             for l2 in (1e-6, 1e-3)
         ]
-        lam1, lam2 = trainers.select_penalties_cv(
-            demos if method == "clsdp" else demos.demos[0],
-            lam_grid, args.cv_folds, config,
-        )
+        lam1, lam2 = trainers.select_penalties_cv(data, lam_grid, args.cv_folds, config)
         config.lambda1, config.lambda2 = lam1, lam2
     if method == "lsdp":
-        if len(args.demos) != 1:
-            raise _UsageError("lsdp trains on exactly one demonstration; "
-                              "use clsdp for several")
-        prim = trainers.train_lsdp(demos.demos[0], config)
-        reference = demos.demos[0].Q
+        prim = trainers.train_lsdp(data, config)
+        reference = data.Q
     else:
-        prim = trainers.train_clsdp(demos, config)
+        prim = trainers.train_clsdp(data, config)
         reference = np.stack([d.Q for d in demos.demos], axis=2)
     _, report = trainers.evaluate(prim, prim.t, reference)
     policy.save_policy(args.out, prim)
@@ -227,12 +225,7 @@ def cmd_rank(args) -> int:
     if not isinstance(model, trainers.TrainedPrimitive):
         raise ValueError("ranking undefined for this method")
     demos = _load_demos(args.demos)
-    if model.mode == "clsdp":
-        stacked = trajectory.stack_demoset(demos)
-        _, centered = trajectory.center_stacked(stacked)
-        Y = centered.Y
-    else:
-        Y = trajectory.center(demos.demos[0]).centered
+    _, Y, _, _ = trainers.training_data(demos if model.mode == "clsdp" else demos.demos[0])
     Phi, PhiAcc = build_basis(model.t, model.rbf_params)
     lam2 = model.metadata.get("lambda2", 0.0)
     prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)

@@ -1,12 +1,13 @@
-"""Alternating sparse-regression / feature-refinement training loops.
+"""Alternating sparse-regression / feature-refinement training loop.
 
-Both trainers repeat: refine basis parameters by BFGS at fixed
-coefficients, re-solve the multi-task elastic net at fixed basis, rescale
-the penalties with the squared residual ratio, prune dead features.
-The single-demonstration variant shares one basis across the DoFs and fits
+The loop repeats: refine basis parameters by BFGS at fixed coefficients,
+re-solve the multi-task elastic net at fixed basis, rescale the penalties
+with the squared residual ratio, prune dead features. The two models run
+the same loop and differ only in the data layout `training_data` builds:
+the single-demonstration variant shares one basis across the DoFs and fits
 one coefficient column per DoF; the coupled variant stacks demonstrations
-so the columns are demonstrations and the basis adapts per DoF, making the
-coefficient count independent of the number of joints.
+DoF-major so the columns are demonstrations and the basis adapts per DoF,
+making the coefficient count independent of the number of joints.
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ logger = logging.getLogger(__name__)
 
 PENALTY_FLOOR_FACTOR = 1e-12
 DESCENT_SLACK = 1e-7
+INITIAL_SIGMA2 = 0.1
+# Looser than the solver's own default: the every-sample initialization
+# makes the design nearly rank-deficient, where a 1e-8 certificate is
+# out of reach of any sweep budget.
+SOLVE_TOL = 1e-6
+MAX_SWEEPS = 20_000
 # One DEBUG record per outer iteration, filled from its trace row.
 ITERATION_RECORD = (
     "fit: iteration=%(iteration)d n_features=%(n_features)d "
@@ -43,7 +50,13 @@ class TrainingError(RuntimeError):
 
 @dataclass
 class TrainerConfig:
-    """Knobs for the alternating loops; None means derive a default."""
+    """Knobs of the alternating loop; None means derive a default.
+
+    The solver tolerance, sweep budget and initial width are the module
+    constants SOLVE_TOL, MAX_SWEEPS and INITIAL_SIGMA2; pruning and the BFGS
+    gradient gate use the defaults of `elastic_net.prune` and
+    `feature_opt.bfgs_minimize`.
+    """
 
     lambda1: float | None = None          # default lambda1_fraction * lambda_max
     lambda1_fraction: float = 1e-3        # used only when lambda1 is None
@@ -51,16 +64,8 @@ class TrainerConfig:
     epsilon: float = 1e-6                 # |f_k - f_{k-1}| convergence gate
     max_outer_iters: int = 50
     initial_p: int | None = None          # default: one center per sample
-    initial_sigma2: float = 0.1
     restarts: int = 1
     seed: int = 0
-    # Looser than the solver's own default: the every-sample initialization
-    # makes the design nearly rank-deficient, where a 1e-8 certificate is
-    # out of reach of any sweep budget.
-    tol: float = 1e-6
-    max_sweeps: int = 20_000
-    tol_prune: float = 1e-10
-    grad_tol: float | None = None
     bfgs_max_iters: int | None = None
     check_invariants: bool = True
 
@@ -136,32 +141,35 @@ def scale_penalties(
     return max(lambda1 * ratio, lambda1_floor), max(lambda2 * ratio, lambda2_floor)
 
 
-def _initial_params(t: np.ndarray, config: TrainerConfig) -> tuple[np.ndarray, float]:
-    if config.initial_p is None:
-        mu0 = np.asarray(t, dtype=float).copy()
+def training_data(
+    data: JointTrajectory | DemoSet,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The layout of each model: time grid, centered targets, intercepts, blocks.
+
+    One demonstration (lsdp) is centered per DoF column and gets one basis
+    block. A demonstration set (clsdp) is stacked DoF-major, one column per
+    demo and one row block per DoF, and each block of each column is
+    centered. The grid is measured from the first sample.
+    """
+    if isinstance(data, DemoSet):
+        intercepts, stacked = trajectory.center_stacked(trajectory.stack_demoset(data))
+        t, Y, n_blocks = data.demos[0].t, stacked.Y, data.n_dof
     else:
-        mu0 = np.linspace(t[0], t[-1], config.initial_p)
-    return mu0, config.initial_sigma2
+        centered = trajectory.center(data)
+        t, Y, intercepts, n_blocks = data.t, centered.centered, centered.intercepts, 1
+    return t - t[0], Y, intercepts, n_blocks
 
 
-def _uniform_basis(mu0: np.ndarray, sigma2_0: float, n_blocks: int):
-    """Centers mu0 at one width: flat for one block, else stacked per block."""
-    params = RbfParams(mu=mu0, sigma2=np.full(mu0.size, sigma2_0))
+def _initial_centers(t: np.ndarray, config: TrainerConfig) -> np.ndarray:
+    if config.initial_p is None:
+        return np.asarray(t, dtype=float).copy()
+    return np.linspace(t[0], t[-1], config.initial_p)
+
+
+def _uniform_basis(mu0: np.ndarray, n_blocks: int):
+    """Centers mu0 at the initial width: flat for one block, else stacked per block."""
+    params = RbfParams(mu=mu0, sigma2=np.full(mu0.size, INITIAL_SIGMA2))
     return params if n_blocks == 1 else StackedRbfParams(per_dof=[params] * n_blocks)
-
-
-@dataclass
-class _FitResult:
-    params: RbfParams | StackedRbfParams
-    W: np.ndarray
-    final_cost: float
-    res_norm: float
-    n_outer: int
-    lambda1: float
-    lambda2: float
-    lambda1_init: float
-    lambda2_init: float
-    trace: list = field(default_factory=list)
 
 
 def _data_residual(prob: AugmentedProblem, W: np.ndarray) -> float:
@@ -174,30 +182,28 @@ def _fit(
     t: np.ndarray,
     Y: np.ndarray,
     mu0: np.ndarray,
-    sigma2_0: float,
     n_blocks: int,
     config: TrainerConfig,
-) -> _FitResult:
-    """One run of the alternating loop on centered data."""
-    params = _uniform_basis(mu0, sigma2_0, n_blocks)
+) -> tuple[RbfParams | StackedRbfParams, np.ndarray, dict]:
+    """One run of the alternating loop on centered data.
+
+    Returns the basis, the coefficients and the run's record: the fit's
+    half of the policy metadata, in metadata order.
+    """
+    params = _uniform_basis(mu0, n_blocks)
+    record = {
+        "final_cost": 0.0, "res_norm": 0.0, "n_outer_iters": 0,
+        "lambda1": 0.0, "lambda2": 0.0, "lambda1_init": 0.0, "lambda2_init": 0.0,
+        "seed": config.seed, "epsilon": config.epsilon, "restarts": config.restarts,
+        "trace": [],
+    }
     Phi, PhiAcc = rbf.build_basis(t, params)
     lam_max0 = elastic_net.lambda_max(
         elastic_net.to_lasso(Phi, PhiAcc, Y, 0.0)
     )
     if lam_max0 <= 1e-12 * (1.0 + float(np.linalg.norm(Y))):
         # Pure-intercept data (up to centering round-off): nothing to fit.
-        trimmed = params.select(np.array([0]))
-        return _FitResult(
-            params=trimmed,
-            W=np.zeros((1, Y.shape[1])),
-            final_cost=0.0,
-            res_norm=0.0,
-            n_outer=0,
-            lambda1=0.0,
-            lambda2=0.0,
-            lambda1_init=0.0,
-            lambda2_init=0.0,
-        )
+        return params.select(np.array([0])), np.zeros((1, Y.shape[1])), record
 
     lam1 = (
         config.lambda1
@@ -205,16 +211,14 @@ def _fit(
         else config.lambda1_fraction * lam_max0
     )
     lam2 = config.lambda2 if config.lambda2 is not None else 1e-6 * lam1
-    lam1_init, lam2_init = lam1, lam2
+    record.update(lambda1_init=lam1, lambda2_init=lam2)
     floor1 = PENALTY_FLOOR_FACTOR * lam1
     floor2 = PENALTY_FLOOR_FACTOR * lam2
 
     prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)
-    W = elastic_net.solve(
-        prob, lam1, tol=config.tol, max_sweeps=config.max_sweeps
-    )
+    W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS)
     try:
-        W, params = elastic_net.prune(W, params, config.tol_prune)
+        W, params = elastic_net.prune(W, params)
     except EmptyModelError as err:
         raise EmptyModelError(f"{err} (initial regression)") from err
     Phi, PhiAcc = rbf.build_basis(t, params)
@@ -239,20 +243,13 @@ def _fit(
         np.maximum(out[n_mu:], log_floor, out=out[n_mu:])
         return out
 
-    trace: list[dict] = []
-    n_outer = 0
+    trace = record["trace"]
     for k in range(1, config.max_outer_iters + 1):
-        n_outer = k
-
         objective = feature_opt.FeatureObjective(t, Y, W, lam2, n_blocks)
         theta0 = params.to_theta()
         f_smooth0 = objective.cost(theta0)
         result = feature_opt.bfgs_minimize(
-            objective,
-            theta0,
-            max_iters=config.bfgs_max_iters,
-            grad_tol=config.grad_tol,
-            project=clamp,
+            objective, theta0, max_iters=config.bfgs_max_iters, project=clamp,
         )
         if config.check_invariants and result.cost > f_smooth0 + DESCENT_SLACK * (
             1.0 + abs(f_smooth0)
@@ -268,8 +265,7 @@ def _fit(
         f_before_en = elastic_net.objective(prob, lam1, W)
         try:
             W_new = elastic_net.solve(
-                prob, lam1, tol=config.tol,
-                max_sweeps=config.max_sweeps, warm_start=W,
+                prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS, warm_start=W,
             )
         except elastic_net.ConvergenceError as err:
             raise TrainingError(f"iteration {k}: {err}") from err
@@ -305,7 +301,7 @@ def _fit(
         lam1, lam2 = scale_penalties(lam1, lam2, r_k, max(r_prev, np.finfo(float).tiny),
                                      floor1, floor2)
         try:
-            W, params = elastic_net.prune(W, params, config.tol_prune)
+            W, params = elastic_net.prune(W, params)
         except EmptyModelError as err:
             raise EmptyModelError(f"{err} (iteration {k})") from err
 
@@ -313,92 +309,46 @@ def _fit(
         if converged:
             break
 
-    return _FitResult(
-        params=params,
-        W=W,
-        final_cost=f_prev,
-        res_norm=r_prev,
-        n_outer=n_outer,
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda1_init=lam1_init,
-        lambda2_init=lam2_init,
-        trace=trace,
-    )
+    record.update(final_cost=f_prev, res_norm=r_prev, n_outer_iters=len(trace),
+                  lambda1=lam1, lambda2=lam2)
+    return params, W, record
 
 
-def _run_with_restarts(t, Y, mu0, sigma2_0, n_blocks, config) -> _FitResult:
+def _train(mode: str, data: JointTrajectory | DemoSet,
+           config: TrainerConfig | None) -> TrainedPrimitive:
+    """Run the loop from the initial centers, then from `config.restarts - 1`
+    jittered copies of them, and keep the cheapest run."""
+    config = config or TrainerConfig()
+    t, Y, intercepts, n_blocks = training_data(data)
+    mu0 = _initial_centers(t, config)
     rng = np.random.default_rng(config.seed)
     dt = float(t[1] - t[0])
-    best: _FitResult | None = None
-    for r in range(config.restarts):
-        mu_r = mu0 if r == 0 else mu0 + rng.uniform(-2 * dt, 2 * dt, size=mu0.size)
-        result = _fit(t, Y, mu_r, sigma2_0, n_blocks, config)
-        if best is None or result.final_cost < best.final_cost:
-            best = result
-    return best
+    runs = (
+        _fit(t, Y, mu0 if r == 0 else mu0 + rng.uniform(-2 * dt, 2 * dt, size=mu0.size),
+             n_blocks, config)
+        for r in range(config.restarts)
+    )
+    params, W, record = min(runs, key=lambda run: run[2]["final_cost"])
+    metadata = {
+        "n_samples": data.n_samples,
+        "n_dof": data.n_dof,
+        "n_demos": Y.shape[1] if mode == "clsdp" else 1,
+        "dt": data.dt,
+        "duration": float(t[-1]),
+        **record,
+    }
+    return TrainedPrimitive(mode=mode, intercepts=intercepts, rbf_params=params,
+                            W=W, t=t, metadata=metadata)
 
 
 def train_lsdp(demo: JointTrajectory, config: TrainerConfig | None = None) -> TrainedPrimitive:
     """Learn a shared sparse basis for one demonstration (columns = DoFs)."""
-    config = config or TrainerConfig()
-    centered = trajectory.center(demo)
-    t = demo.t - demo.t[0]
-    mu0, sigma2_0 = _initial_params(t, config)
-    result = _run_with_restarts(t, centered.centered, mu0, sigma2_0, 1, config)
-    metadata = _metadata(result, demo.n_samples, demo.n_dof, 1, demo.dt,
-                         demo.duration, config)
-    return TrainedPrimitive(
-        mode="lsdp",
-        intercepts=centered.intercepts,
-        rbf_params=result.params,
-        W=result.W,
-        t=t,
-        metadata=metadata,
-    )
+    return _train("lsdp", demo, config)
 
 
 def train_clsdp(demos: DemoSet, config: TrainerConfig | None = None) -> TrainedPrimitive:
     """Learn per-DoF bases with coefficients coupled across demonstrations."""
-    config = config or TrainerConfig()
-    stacked = trajectory.stack_demoset(demos)
-    intercepts, centered = trajectory.center_stacked(stacked)
-    t = demos.demos[0].t - demos.demos[0].t[0]
-    mu0, sigma2_0 = _initial_params(t, config)
-    result = _run_with_restarts(
-        t, centered.Y, mu0, sigma2_0, demos.n_dof, config
-    )
-    metadata = _metadata(result, demos.n_samples, demos.n_dof, demos.n_demos,
-                         demos.dt, demos.demos[0].duration, config)
-    return TrainedPrimitive(
-        mode="clsdp",
-        intercepts=intercepts,
-        rbf_params=result.params,
-        W=result.W,
-        t=t,
-        metadata=metadata,
-    )
-
-
-def _metadata(result: _FitResult, N, n, d, dt, duration, config) -> dict:
-    return {
-        "n_samples": N,
-        "n_dof": n,
-        "n_demos": d,
-        "dt": dt,
-        "duration": duration,
-        "final_cost": result.final_cost,
-        "res_norm": result.res_norm,
-        "n_outer_iters": result.n_outer,
-        "lambda1": result.lambda1,
-        "lambda2": result.lambda2,
-        "lambda1_init": result.lambda1_init,
-        "lambda2_init": result.lambda2_init,
-        "seed": config.seed,
-        "epsilon": config.epsilon,
-        "restarts": config.restarts,
-        "trace": result.trace,
-    }
+    return _train("clsdp", demos, config)
 
 
 def reconstruct(prim: TrainedPrimitive, t: np.ndarray) -> np.ndarray:
@@ -466,24 +416,12 @@ def select_penalties_cv(
     if not grid:
         raise ValueError("empty penalty grid")
     config = config or TrainerConfig()
-
-    if isinstance(data, DemoSet):
-        stacked = trajectory.stack_demoset(data)
-        _, centered = trajectory.center_stacked(stacked)
-        Y = centered.Y
-        t = data.demos[0].t
-        n_blocks = data.n_dof
-    else:
-        cent = trajectory.center(data)
-        Y = cent.centered
-        t = data.t
-        n_blocks = 1
-
+    t, Y, _, n_blocks = training_data(data)
     N = t.size
     bounds = np.linspace(0, N, folds + 1).astype(int)
     if np.any(np.diff(bounds) < 2):
         raise ValueError("degenerate fold: fewer than 2 samples")
-    params = _uniform_basis(*_initial_params(t, config), n_blocks)
+    params = _uniform_basis(_initial_centers(t, config), n_blocks)
 
     def block_rows(sample_idx):
         return np.concatenate([sample_idx + N * b for b in range(n_blocks)])
@@ -499,9 +437,8 @@ def select_penalties_cv(
             Y_tr = Y[block_rows(train_idx)]
             Y_te = Y[block_rows(test_idx)]
             prob = elastic_net.to_lasso(Phi_tr, Acc_tr, Y_tr, lam2)
-            W = elastic_net.solve(prob, lam1, tol=config.tol,
-                                  max_sweeps=config.max_sweeps)
-            elastic_net.prune(W, params, config.tol_prune)  # raises on empty
+            W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS)
+            elastic_net.prune(W, params)  # raises on empty
             fold_resid.append(np.linalg.norm(Y_te - Phi_te @ W))
         scores.append(float(np.mean(fold_resid)))
     best = int(np.argmin(scores))

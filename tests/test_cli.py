@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsemp import policy
+from sparsemp import policy, trainers
 from sparsemp.cli import main
 from sparsemp.trajectory import (
     JointTrajectory,
@@ -127,6 +127,32 @@ class TestTrain:
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 2
+
+    def test_lsdp_rejects_multiple_demos_before_cross_validation(
+        self, fixture_dir, tmp_path, monkeypatch, capsys
+    ):
+        def cross_validation(*args, **kwargs):
+            raise AssertionError("cross-validation started")
+
+        monkeypatch.setattr(trainers, "select_penalties_cv", cross_validation)
+        code = run(
+            "train", "lsdp",
+            str(fixture_dir / "demo_1.csv"), str(fixture_dir / "demo_2.csv"),
+            "--cv-folds", "3", "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "exactly one demonstration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_cv_folds_below_two_is_usage_error(self, folds, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run(
+            "train", "lsdp", str(fixture_dir / "demo_1.csv"),
+            "--cv-folds", folds, "--out", str(out),
+        )
+        assert code == 2
+        assert "usage error: --cv-folds must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_clsdp_rejects_demos_on_different_time_origins(
         self, fixture_dir, tmp_path, capsys

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsemp import elastic_net, rbf, trainers
 from sparsemp.elastic_net import EmptyModelError
@@ -14,12 +16,13 @@ from sparsemp.trainers import (
     select_penalties_cv,
     train_clsdp,
     train_lsdp,
+    training_data,
 )
 from sparsemp.trajectory import DemoSet, JointTrajectory, synth_demoset
 
 
 def small_config(**kw):
-    base = dict(epsilon=1e-8, max_outer_iters=30, tol=1e-6)
+    base = dict(epsilon=1e-8, max_outer_iters=30)
     base.update(kw)
     return TrainerConfig(**base)
 
@@ -62,6 +65,32 @@ class TestScalePenalties:
     def test_zero_previous_residual_rejected(self):
         with pytest.raises(ValueError):
             scale_penalties(1.0, 1.0, 1.0, 0.0)
+
+
+def shifted(demos: DemoSet, t0: float, dt: float) -> DemoSet:
+    """The same joint samples on the grid t0, t0 + dt, ..."""
+    return DemoSet(demos=[JointTrajectory(t=t0 + np.arange(d.n_samples) * dt, Q=d.Q)
+                          for d in demos.demos])
+
+
+class TestTrainingData:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.floats(-100.0, 100.0), st.floats(1e-3, 0.05))
+    def test_layouts_on_any_origin_and_step(self, small_fixture, t0, dt):
+        demos = shifted(small_fixture[0], t0, dt)
+        demo = demos.demos[0]
+        t, Y, intercepts, n_blocks = training_data(demo)
+        assert t[0] == 0.0
+        assert n_blocks == 1
+        np.testing.assert_allclose(Y + intercepts, demo.Q, atol=1e-12)
+
+        t, Y, intercepts, n_blocks = training_data(demos)
+        assert t[0] == 0.0
+        assert n_blocks == demos.n_dof
+        N = demos.n_samples
+        # DoF-major: row N*i + k is sample k of DoF i, one column per demo.
+        stack = np.stack([d.Q.T.reshape(-1) for d in demos.demos], axis=1)
+        np.testing.assert_allclose(Y + np.repeat(intercepts, N, axis=0), stack, atol=1e-12)
 
 
 class TestTrainLsdp:
@@ -216,6 +245,14 @@ class TestSelectPenaltiesCv:
         second = select_penalties_cv(demo, grid, folds=3, config=cfg)
         assert first in grid
         assert first == second
+
+    def test_time_origin_does_not_change_the_pick(self, small_fixture):
+        demos, _ = small_fixture
+        late = shifted(demos, 5.0, demos.dt)
+        grid = [(0.5, 1e-6), (0.05, 1e-6), (5.0, 1e-6), (0.05, 1e-3)]
+        cfg = small_config(initial_p=20)
+        assert select_penalties_cv(late, grid, folds=3, config=cfg) == \
+            select_penalties_cv(demos, grid, folds=3, config=cfg)
 
     def test_validation(self, small_fixture):
         demos, _ = small_fixture
