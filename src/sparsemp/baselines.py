@@ -14,6 +14,8 @@ import numpy as np
 from .rbf import RbfParams, build_basis, eval_basis
 from .trajectory import JointTrajectory
 
+ALPHA_Z = 25.0  # DMP gain; beta_z = ALPHA_Z / 4 (critical damping), alpha_x = ALPHA_Z / 3
+
 
 @dataclass
 class DmpModel:
@@ -86,9 +88,6 @@ def _forcing_design(x: np.ndarray, centers, widths) -> np.ndarray:
 def train_dmp(
     demo: JointTrajectory,
     n_basis: int = 10,
-    alpha_z: float = 25.0,
-    beta_z: float | None = None,
-    alpha_x: float | None = None,
 ) -> DmpModel:
     """Fit the forcing weights to the demonstration's attractor residual.
 
@@ -98,8 +97,7 @@ def train_dmp(
     """
     if demo.n_samples < 3:
         raise ValueError("need at least 3 samples to differentiate")
-    beta_z = alpha_z / 4.0 if beta_z is None else beta_z
-    alpha_x = alpha_z / 3.0 if alpha_x is None else alpha_x
+    alpha_z, beta_z, alpha_x = ALPHA_Z, ALPHA_Z / 4.0, ALPHA_Z / 3.0
     tau = demo.duration
     dt = demo.dt
     Q = demo.Q

@@ -185,8 +185,8 @@ def _train(args) -> int:
         if method == "dmp":
             model = baselines.train_dmp(demo, n_basis=args.n_basis)
         else:
-            model = baselines.train_ridge(demo, n_basis=args.n_basis,
-                                          lambda2=args.lambda2 or 1e-4)
+            lam2 = 1e-4 if args.lambda2 is None else args.lambda2
+            model = baselines.train_ridge(demo, n_basis=args.n_basis, lambda2=lam2)
         nnz, acc, res, _ = _baseline_metrics(model, demo)
         policy.save_policy(args.out, model)
         print(f"method={method} nnz={nnz} acc_norm={_fmt(acc)} res_norm={_fmt(res)}")
@@ -205,11 +205,9 @@ def _train(args) -> int:
         config.lambda1, config.lambda2 = lam1, lam2
     if method == "lsdp":
         prim = trainers.train_lsdp(data, config)
-        reference = data.Q
     else:
         prim = trainers.train_clsdp(data, config)
-        reference = np.stack([d.Q for d in demos.demos], axis=2)
-    _, report = trainers.evaluate(prim, prim.t, reference)
+    _, report = trainers.evaluate(prim, prim.t, trainers.reference(data))
     policy.save_policy(args.out, prim)
     print(
         f"method={method} nnz={report.nnz} acc_norm={_fmt(report.acc_norm)} "
@@ -253,15 +251,12 @@ def cmd_eval(args) -> int:
     for path in args.policies:
         model = policy.load_policy(path)
         if isinstance(model, trainers.TrainedPrimitive):
-            if model.mode == "clsdp":
-                if len(demos.demos) != model.n_demos:
-                    raise ValueError(
-                        f"dimension mismatch on demos axis: policy couples "
-                        f"{model.n_demos}, got {len(demos.demos)}"
-                    )
-                reference = np.stack([d.Q for d in demos.demos], axis=2)
-            else:
-                reference = demos.demos[0].Q
+            if model.mode == "clsdp" and len(demos.demos) != model.n_demos:
+                raise ValueError(
+                    f"dimension mismatch on demos axis: policy couples "
+                    f"{model.n_demos}, got {len(demos.demos)}"
+                )
+            reference = trainers.reference(demos if model.mode == "clsdp" else demos.demos[0])
             if reference.shape[0] != model.t.size:
                 raise ValueError("dimension mismatch on time axis")
             _, report = trainers.evaluate(model, model.t, reference)

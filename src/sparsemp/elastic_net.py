@@ -36,6 +36,8 @@ from .rbf import RbfParams, StackedRbfParams
 
 logger = logging.getLogger(__name__)
 
+TOL_PRUNE = 1e-10  # coefficient rows at or below this norm are pruned
+
 
 class ConvergenceError(RuntimeError):
     """Sweep budget exhausted; carries the last iterate and its KKT residual."""
@@ -427,9 +429,8 @@ def active_set(W: np.ndarray, tol: float = 0.0) -> np.ndarray:
 def prune(
     W: np.ndarray,
     params: RbfParams | StackedRbfParams,
-    tol_prune: float = 1e-10,
 ) -> tuple[np.ndarray, RbfParams | StackedRbfParams]:
-    """Drop features whose coefficient rows are (numerically) zero.
+    """Drop features whose coefficient rows are at most TOL_PRUNE in norm.
 
     Removal is permanent: the matching centers and widths disappear from the
     model, so a pruned feature can never re-enter.
@@ -439,7 +440,7 @@ def prune(
             f"coefficients have {W.shape[0]} rows but params hold "
             f"{params.n_features} features"
         )
-    keep = active_set(W, tol_prune)
+    keep = active_set(W, TOL_PRUNE)
     if not keep.size:
         raise EmptyModelError("empty model: all features pruned")
     return W[keep], params.select(keep)

@@ -5,6 +5,10 @@ theta = (centers, log squared widths) with dense BFGS and a strong-Wolfe
 line search. The sparsity penalty does not depend on theta and is added
 back by the caller when reporting total cost.
 
+The theta layout lives here only: `FeatureObjective.encode`, `decode` and
+`clamp`. SciPy's line search, the one `scipy.optimize` piece used, is
+imported when `bfgs_minimize` runs, so import and ranking never load it.
+
 Each cost/gradient evaluation covers all DoF blocks with one batched kernel
 call (`rbf.basis_and_partials`) into a workspace that `FeatureObjective`
 allocates once, and contracts the parameter partials with the N x m
@@ -19,19 +23,24 @@ BLAS rank-two form, so a BFGS iteration allocates nothing of size dim^2.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.optimize import line_search as _wolfe_line_search
 
-from .rbf import SIGMA2_MIN, RbfParams, StackedRbfParams, basis_and_partials
+from .rbf import SIGMA2_MIN, RbfParams, StackedRbfParams, basis_and_partials, param_arrays
 
 logger = logging.getLogger(__name__)
 
 CURVATURE_EPS = 1e-12
 LOG_S2_MAX = 50.0  # keeps exp() finite; widths this large are already flat
+LOG_S2_MIN = math.log(SIGMA2_MIN)
+# Strong-Wolfe constants (Nocedal & Wright's for quasi-Newton), relative |g| gate.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+GRAD_TOL_REL = 1e-6
 # Messages of scipy's line-search warnings; a failed search is handled as
 # a terminal state, so they only add noise.
 _LINE_SEARCH_WARNINGS = r"(The line search algorithm|Rounding errors prevent the line search)"
@@ -83,6 +92,14 @@ class FeatureObjective:
         s2 = np.exp(np.minimum(theta[nb * p:].reshape(nb, p), LOG_S2_MAX))
         return mus, s2
 
+    def encode(self, params: RbfParams | StackedRbfParams) -> np.ndarray:
+        """theta = [all centers, all log squared widths], DoF block by block."""
+        mu, s2 = param_arrays(params)
+        theta = np.concatenate([mu.reshape(-1), np.log(s2).reshape(-1)])
+        if theta.size != self.theta_size:
+            raise ValueError(f"theta size {theta.size}, expected {self.theta_size}")
+        return theta
+
     def decode(self, theta: np.ndarray) -> RbfParams | StackedRbfParams:
         mus, s2 = self.split_theta(theta)
         s2 = np.maximum(s2, SIGMA2_MIN)
@@ -91,6 +108,16 @@ class FeatureObjective:
         return StackedRbfParams(
             per_dof=[RbfParams(mu=mus[i], sigma2=s2[i]) for i in range(self.n_blocks)]
         )
+
+    def clamp(self, theta: np.ndarray) -> np.ndarray:
+        """A copy of theta with the centers clipped to [t_0 - T, t_end + T],
+        T the window length, and the log widths raised to LOG_S2_MIN."""
+        t0, t1 = float(self.t[0]), float(self.t[-1])
+        n_mu = self.n_blocks * self.p
+        out = np.array(theta, dtype=float)
+        np.clip(out[:n_mu], t0 - (t1 - t0), t1 + (t1 - t0), out=out[:n_mu])
+        np.maximum(out[n_mu:], LOG_S2_MIN, out=out[n_mu:])
+        return out
 
     def cost(self, theta: np.ndarray) -> float:
         return self.cost_grad(theta)[0]
@@ -159,18 +186,18 @@ def bfgs_minimize(
     objective: FeatureObjective,
     theta0: np.ndarray,
     max_iters: int | None = None,
-    grad_tol: float | None = None,
-    c1: float = 1e-4,
-    c2: float = 0.9,
     project=None,
 ) -> BfgsResult:
     """Dense BFGS with a strong-Wolfe line search.
 
     Returns the best iterate seen; a line-search failure ends the run with
-    the best-so-far, flagged. `project` (if given) is applied to each
-    accepted iterate, e.g. to clamp centers back into the data window.
-    Emits one DEBUG record on the `sparsemp.feature_opt` logger per call.
+    the best-so-far, flagged. The run converges when the gradient norm is
+    at most GRAD_TOL_REL (1 + |f(theta0)|). `project` (if given) is applied
+    to each accepted iterate, e.g. `objective.clamp`. Emits one DEBUG record
+    on the `sparsemp.feature_opt` logger per call.
     """
+    from scipy.optimize import line_search  # the only scipy.optimize user
+
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise ValueError("non-finite initial point")
@@ -182,8 +209,7 @@ def bfgs_minimize(
     f, g = objective.cost_grad(theta)
     if not np.isfinite(f):
         raise FloatingPointError("non-finite cost at the initial point")
-    if grad_tol is None:
-        grad_tol = 1e-6 * (1.0 + abs(f))
+    grad_tol = GRAD_TOL_REL * (1.0 + abs(f))
 
     f0, best_theta, best_f = f, theta.copy(), f
     # Inverse Hessian: Fortran-ordered, only its upper triangle is kept;
@@ -203,9 +229,9 @@ def bfgs_minimize(
                 # Safeguard: reset to steepest descent if H lost definiteness.
                 H = None
                 d = -g
-            alpha, _, _, f_new, _, _ = _wolfe_line_search(
+            alpha, _, _, f_new, _, _ = line_search(
                 objective.cost, objective.grad, theta, d, gfk=g, old_fval=f,
-                c1=c1, c2=c2, maxiter=50,
+                c1=WOLFE_C1, c2=WOLFE_C2, maxiter=50,
             )
             if alpha is None:
                 ls_failed = True

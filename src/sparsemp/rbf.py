@@ -41,10 +41,6 @@ class RbfParams:
     def n_features(self) -> int:
         return self.mu.size
 
-    def to_theta(self) -> np.ndarray:
-        """Optimization vector [mu, log sigma2]."""
-        return np.concatenate([self.mu, np.log(self.sigma2)])
-
     def select(self, keep: np.ndarray) -> "RbfParams":
         return RbfParams(mu=self.mu[keep], sigma2=self.sigma2[keep])
 
@@ -70,14 +66,16 @@ class StackedRbfParams:
     def n_features(self) -> int:
         return self.per_dof[0].n_features
 
-    def to_theta(self) -> np.ndarray:
-        """Stacked vector [mu_1, ..., mu_n, log s2_1, ..., log s2_n]."""
-        mus = np.concatenate([params.mu for params in self.per_dof])
-        logs = np.concatenate([np.log(params.sigma2) for params in self.per_dof])
-        return np.concatenate([mus, logs])
-
     def select(self, keep: np.ndarray) -> "StackedRbfParams":
         return StackedRbfParams(per_dof=[params.select(keep) for params in self.per_dof])
+
+
+def param_arrays(params: RbfParams | StackedRbfParams) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and squared widths, (p,) each, or (n, p) with row i from per_dof[i]."""
+    if isinstance(params, StackedRbfParams):
+        return (np.stack([block.mu for block in params.per_dof]),
+                np.stack([block.sigma2 for block in params.per_dof]))
+    return params.mu, params.sigma2
 
 
 def _values(t, mu, inv, phi, acc, a, g, q) -> None:
@@ -136,11 +134,7 @@ def build_basis(
     """Basis values and their time-accelerations, each N x p, or (n*N) x p
     for stacked parameters with DoF block i (rows N*i to N*(i+1)) from
     per_dof[i]. Equal to the first two slices of `basis_and_partials`."""
-    if isinstance(params, StackedRbfParams):
-        mu = np.stack([block.mu for block in params.per_dof])
-        s2 = np.stack([block.sigma2 for block in params.per_dof])
-    else:
-        mu, s2 = params.mu, params.sigma2
+    mu, s2 = param_arrays(params)
     t, p = np.asarray(t, dtype=float), mu.shape[-1]
     shape = mu.shape[:-1] + (t.size, p)
     phi, acc = np.empty((2,) + shape)  # scratch apart, so it is freed on return

@@ -13,7 +13,6 @@ making the coefficient count independent of the number of joints.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,8 +53,7 @@ class TrainerConfig:
 
     The solver tolerance, sweep budget and initial width are the module
     constants SOLVE_TOL, MAX_SWEEPS and INITIAL_SIGMA2; pruning and the BFGS
-    gradient gate use the defaults of `elastic_net.prune` and
-    `feature_opt.bfgs_minimize`.
+    gradient gate use `elastic_net.TOL_PRUNE` and `feature_opt.GRAD_TOL_REL`.
     """
 
     lambda1: float | None = None          # default lambda1_fraction * lambda_max
@@ -160,6 +158,14 @@ def training_data(
     return t - t[0], Y, intercepts, n_blocks
 
 
+def reference(data: JointTrajectory | DemoSet) -> np.ndarray:
+    """The raw demonstrations in the layout `reconstruct` returns: (N, n) for
+    one demonstration, (N, n, d) for a set, with the demos on the last axis."""
+    if isinstance(data, DemoSet):
+        return np.stack([demo.Q for demo in data.demos], axis=2)
+    return data.Q
+
+
 def _initial_centers(t: np.ndarray, config: TrainerConfig) -> np.ndarray:
     if config.initial_p is None:
         return np.asarray(t, dtype=float).copy()
@@ -228,28 +234,13 @@ def _fit(
     if r_prev == 0.0:
         r_prev = np.finfo(float).tiny
 
-    t0, t1 = float(t[0]), float(t[-1])
-    center_lo, center_hi = t0 - (t1 - t0), t1 + (t1 - t0)
-    log_floor = math.log(rbf.SIGMA2_MIN)
-
-    def clamp(theta: np.ndarray) -> np.ndarray:
-        """Centers into [t_min - T, t_max + T], log widths onto the floor.
-
-        theta is [all centers, all log widths], so the split is its middle.
-        """
-        n_mu = theta.size // 2
-        out = theta.copy()
-        np.clip(out[:n_mu], center_lo, center_hi, out=out[:n_mu])
-        np.maximum(out[n_mu:], log_floor, out=out[n_mu:])
-        return out
-
     trace = record["trace"]
     for k in range(1, config.max_outer_iters + 1):
         objective = feature_opt.FeatureObjective(t, Y, W, lam2, n_blocks)
-        theta0 = params.to_theta()
+        theta0 = objective.encode(params)
         f_smooth0 = objective.cost(theta0)
         result = feature_opt.bfgs_minimize(
-            objective, theta0, max_iters=config.bfgs_max_iters, project=clamp,
+            objective, theta0, max_iters=config.bfgs_max_iters, project=objective.clamp,
         )
         if config.check_invariants and result.cost > f_smooth0 + DESCENT_SLACK * (
             1.0 + abs(f_smooth0)
@@ -366,28 +357,21 @@ def reconstruct(prim: TrainedPrimitive, t: np.ndarray) -> np.ndarray:
 def evaluate(
     prim: TrainedPrimitive,
     t: np.ndarray,
-    reference: np.ndarray | None = None,
+    reference: np.ndarray,
 ) -> tuple[np.ndarray, FitReport]:
-    """Reconstruct at `t` and report fit metrics.
-
-    `reference` (raw, uncentered, same shape as the reconstruction) yields a
-    freshly computed residual norm; without it the training residual stored
-    in the metadata is reported.
-    """
+    """Reconstruct at `t` and report fit metrics against `reference`, the
+    raw (uncentered) trajectories in the shape of the reconstruction."""
     recon = reconstruct(prim, t)
     _, PhiAcc = rbf.build_basis(t, prim.rbf_params)
     acc_norm = float(np.linalg.norm(PhiAcc @ prim.W))
     nnz = int(np.count_nonzero(prim.W))
-    if reference is not None:
-        reference = np.asarray(reference, dtype=float)
-        if reference.shape != recon.shape:
-            raise ValueError(
-                f"reference shape {reference.shape} does not match "
-                f"reconstruction {recon.shape}"
-            )
-        res_norm = float(np.linalg.norm(reference - recon))
-    else:
-        res_norm = float(prim.metadata.get("res_norm", np.nan))
+    reference = np.asarray(reference, dtype=float)
+    if reference.shape != recon.shape:
+        raise ValueError(
+            f"reference shape {reference.shape} does not match "
+            f"reconstruction {recon.shape}"
+        )
+    res_norm = float(np.linalg.norm(reference - recon))
     lam1 = prim.metadata.get("lambda1", 0.0)
     lam2 = prim.metadata.get("lambda2", 0.0)
     total = (

@@ -184,6 +184,13 @@ class TestTrain:
         model = policy.load_policy(out)
         assert model.params_per_dof() == 11
 
+    def test_ridge_trains_with_the_lambda2_given_even_zero(self, fixture_dir, tmp_path):
+        out = tmp_path / "ridge.json"
+        code = run("train", "ridge", str(fixture_dir / "demo_1.csv"), "--out", str(out),
+                   "--lambda2", "0")
+        assert code == 0
+        assert policy.load_policy(out).lambda2 == 0.0
+
     def test_verbose_logs_each_solve_to_stderr(self, fixture_dir, tmp_path, capsys):
         demo = str(fixture_dir / "demo_1.csv")
         out = str(tmp_path / "lsdp.json")

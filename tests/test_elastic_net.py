@@ -456,7 +456,7 @@ class TestPrune:
     def test_no_zero_rows_is_identity(self):
         params = RbfParams(mu=np.array([0.1, 0.2]), sigma2=np.array([0.01, 0.02]))
         W = np.array([[1.0, 0.5], [0.3, -0.2]])
-        W2, params2 = prune(W, params, 1e-10)
+        W2, params2 = prune(W, params)
         np.testing.assert_array_equal(W2, W)
         np.testing.assert_array_equal(params2.mu, params.mu)
 
@@ -466,7 +466,7 @@ class TestPrune:
         )
         W = np.ones((5, 2))
         W[2] = 0.0
-        W2, params2 = prune(W, params, 1e-10)
+        W2, params2 = prune(W, params)
         assert W2.shape == (4, 2)
         np.testing.assert_array_equal(params2.mu, params.mu[[0, 1, 3, 4]])
 
@@ -475,7 +475,7 @@ class TestPrune:
         lam = 0.5 * lambda_max(prob)
         W = solve(prob, lam, tol=1e-10)
         params = RbfParams(mu=np.linspace(0, 1, 5), sigma2=np.full(5, 0.01))
-        W2, _ = prune(W, params, 1e-10)
+        W2, _ = prune(W, params)
         assert W2.shape[0] == active_set(W).size
 
     def test_stacked_params_pruned_in_every_dof(self):
@@ -484,7 +484,7 @@ class TestPrune:
             for _ in range(2)
         ]
         W = np.array([[1.0], [0.0], [2.0]])
-        W2, params2 = prune(W, StackedRbfParams(per_dof=per_dof), 1e-10)
+        W2, params2 = prune(W, StackedRbfParams(per_dof=per_dof))
         assert params2.n_features == 2
         for p in params2.per_dof:
             np.testing.assert_array_equal(p.mu, [0.1, 0.9])
@@ -492,12 +492,12 @@ class TestPrune:
     def test_empty_model_error(self):
         params = RbfParams(mu=np.array([0.1]), sigma2=np.array([0.01]))
         with pytest.raises(EmptyModelError, match="empty model"):
-            prune(np.zeros((1, 2)), params, 1e-10)
+            prune(np.zeros((1, 2)), params)
 
     def test_shape_mismatch(self):
         params = RbfParams(mu=np.array([0.1]), sigma2=np.array([0.01]))
         with pytest.raises(ValueError):
-            prune(np.zeros((2, 2)), params, 1e-10)
+            prune(np.zeros((2, 2)), params)
 
 
 def residual_certificate(prob: AugmentedProblem, lambda1: float, W: np.ndarray):

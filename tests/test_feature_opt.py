@@ -203,6 +203,33 @@ class TestBfgsUpdate:
             _bfgs_update(H, s, s)
 
 
+class TestThetaLayout:
+    def test_encode_is_centers_then_log_widths_block_by_block(self):
+        obj, _ = pinned_problem()
+        params = StackedRbfParams(per_dof=[
+            RbfParams(mu=np.full(12, 0.1 * b), sigma2=np.full(12, 0.01 * (b + 1)))
+            for b in range(3)])
+        theta = obj.encode(params)
+        np.testing.assert_array_equal(theta[:36], np.repeat([0.0, 0.1, 0.2], 12))
+        np.testing.assert_array_equal(
+            theta[36:], np.log(np.repeat([0.01, 0.02, 0.03], 12)))
+
+    def test_encode_checks_the_size(self):
+        obj, _ = flat_objective(p=3)
+        with pytest.raises(ValueError, match="theta size 4, expected 6"):
+            obj.encode(RbfParams(mu=[0.1, 0.2], sigma2=[0.01, 0.01]))
+
+    def test_clamp_keeps_centers_within_a_window_and_widths_on_the_floor(self):
+        obj = FeatureObjective(np.linspace(1.0, 3.0, 5), np.zeros((5, 1)),
+                               np.zeros((2, 1)), 0.0)
+        theta = np.array([-5.0, 2.5, 0.0, np.log(rbf.SIGMA2_MIN) - 3.0])
+        clamped = obj.clamp(theta)
+        np.testing.assert_array_equal(
+            clamped, [-1.0, 2.5, 0.0, feature_opt.LOG_S2_MIN])
+        assert clamped is not theta and theta[0] == -5.0
+        np.testing.assert_array_equal(obj.clamp([6.0, 1.5, -1.0, -1.0])[:2], [5.0, 1.5])
+
+
 class TestBfgsMinimize:
     def test_quadratic_bowl_via_rbf_fit(self):
         # Fit a single bump generated by known parameters: the optimum
@@ -294,8 +321,8 @@ def pinned_problem():
         for _ in range(nb)])
     W = rng.standard_normal((p, m))
     Y = rbf.build_basis(t, true)[0] @ W + 0.01 * rng.standard_normal((N * nb, m))
-    theta0 = true.to_theta() + 0.05 * rng.standard_normal(2 * nb * p)
-    return FeatureObjective(t, Y, W, 1e-4, n_dof_blocks=nb), theta0
+    obj = FeatureObjective(t, Y, W, 1e-4, n_dof_blocks=nb)
+    return obj, obj.encode(true) + 0.05 * rng.standard_normal(2 * nb * p)
 
 
 def clamp_centers(theta):

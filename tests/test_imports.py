@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -45,3 +47,31 @@ def test_third_party_imports_are_declared_dependencies():
         and top != "sparsemp" and top not in declared
     ]
     assert not undeclared, f"imports outside pyproject.toml's dependencies: {undeclared}"
+
+
+# Ranks features on a small problem, then runs BFGS once; prints whether
+# scipy.optimize was loaded after each step.
+LOADS_SCRIPT = """
+import sys
+import numpy as np
+import sparsemp
+from sparsemp import rbf
+rng = np.random.default_rng(0)
+t = np.linspace(0.0, 1.0, 30)
+params = rbf.RbfParams(mu=np.linspace(0.0, 1.0, 6), sigma2=np.full(6, 0.02))
+phi, acc = rbf.build_basis(t, params)
+y = rng.standard_normal((30, 2))
+path = sparsemp.compute_path(sparsemp.to_lasso(phi, acc, y, 1e-4), n_lambdas=5, ratio=1e-2)
+sparsemp.rank_features(path)
+print("scipy.optimize" in sys.modules)
+obj = sparsemp.FeatureObjective(t, y, rng.standard_normal((6, 2)), 1e-4)
+sparsemp.bfgs_minimize(obj, obj.encode(params), max_iters=2)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_optimize_loads_only_when_bfgs_runs():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split() == ["False", "True"]

@@ -30,11 +30,11 @@ def random_params(p=3, seed=0, lo=0.01, hi=0.5):
     )
 
 
-def decode(theta, p, n_dof=1):
-    """The parameters theta stands for, read back as the BFGS objective does."""
-    obj = FeatureObjective(np.zeros(1), np.zeros((n_dof, 1)), np.zeros((p, 1)), 0.0,
-                           n_dof_blocks=n_dof)
-    return obj.decode(theta)
+def round_trip(params, n_dof=1):
+    """params laid out as theta and read back, as the BFGS objective does."""
+    obj = FeatureObjective(np.zeros(1), np.zeros((n_dof, 1)),
+                           np.zeros((params.n_features, 1)), 0.0, n_dof_blocks=n_dof)
+    return obj.decode(obj.encode(params))
 
 
 class TestRbfParams:
@@ -44,7 +44,7 @@ class TestRbfParams:
 
     def test_theta_round_trip(self):
         params = random_params(p=4, seed=1)
-        back = decode(params.to_theta(), p=4)
+        back = round_trip(params)
         np.testing.assert_allclose(back.mu, params.mu)
         np.testing.assert_allclose(back.sigma2, params.sigma2, rtol=1e-14)
 
@@ -64,7 +64,7 @@ class TestRbfParams:
         stacked = StackedRbfParams(
             per_dof=[random_params(p=3, seed=s) for s in range(2)]
         )
-        back = decode(stacked.to_theta(), p=3, n_dof=2)
+        back = round_trip(stacked, n_dof=2)
         for orig, rec in zip(stacked.per_dof, back.per_dof):
             np.testing.assert_allclose(rec.mu, orig.mu)
             np.testing.assert_allclose(rec.sigma2, orig.sigma2, rtol=1e-14)

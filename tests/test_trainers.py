@@ -223,10 +223,26 @@ class TestReconstructEvaluate:
             W=np.zeros((1, 2)),
             t=t,
         )
-        rec, report = evaluate(prim, t)
+        rec, report = evaluate(prim, t, np.tile([1.0, -2.0], (50, 1)))
         np.testing.assert_allclose(rec, np.tile([1.0, -2.0], (50, 1)))
         assert report.nnz == 0
         assert report.acc_norm == 0.0
+
+    @pytest.mark.parametrize("mode", ["lsdp", "clsdp"])
+    def test_reference_has_the_reconstruction_layout(self, small_fixture, mode):
+        demos, _ = small_fixture
+        data = demos if mode == "clsdp" else demos.demos[0]
+        t, Y, intercepts, n_blocks = training_data(data)
+        params = RbfParams(mu=t[:2], sigma2=np.full(2, 0.05))
+        prim = TrainedPrimitive(
+            mode=mode, intercepts=intercepts, t=t, W=np.zeros((2, Y.shape[1])),
+            rbf_params=params if n_blocks == 1 else StackedRbfParams([params] * n_blocks),
+        )
+        ref = trainers.reference(data)
+        assert ref.shape == reconstruct(prim, prim.t).shape
+        # 3 DoF and 3 demos: the shape alone does not show which axis holds the demos
+        last = ref[..., -1] if mode == "clsdp" else ref
+        np.testing.assert_array_equal(last, demos.demos[-1 if mode == "clsdp" else 0].Q)
 
     def test_coupled_reconstruction_shape(self, small_fixture):
         demos, _ = small_fixture
