@@ -128,16 +128,19 @@ def _load_demos(paths) -> trajectory.DemoSet:
 
 
 def _trainer_config(args) -> TrainerConfig:
-    return TrainerConfig(
-        lambda1=args.lambda1,
-        lambda2=args.lambda2,
-        epsilon=args.epsilon,
-        max_outer_iters=args.max_iters,
-        bfgs_max_iters=args.bfgs_iters,
-        restarts=args.restarts,
-        seed=args.seed,
-        initial_p=args.initial_p,
-    )
+    try:
+        return TrainerConfig(
+            lambda1=args.lambda1,
+            lambda2=args.lambda2,
+            epsilon=args.epsilon,
+            max_outer_iters=args.max_iters,
+            bfgs_max_iters=args.bfgs_iters,
+            restarts=args.restarts,
+            seed=args.seed,
+            initial_p=args.initial_p,
+        )
+    except ValueError as err:  # an out-of-range flag
+        raise _UsageError(str(err)) from err
 
 
 def _baseline_metrics(model, demo) -> tuple[int, float, float, float]:
@@ -219,6 +222,10 @@ def _train(args) -> int:
 # ---------------------------------------------------------------- rank
 
 def cmd_rank(args) -> int:
+    if args.grid < 2:
+        raise _UsageError("--grid must be >= 2")
+    if not 0.0 < args.ratio < 1.0:
+        raise _UsageError("--ratio must lie in (0, 1)")
     model = policy.load_policy(args.policy)
     if not isinstance(model, trainers.TrainedPrimitive):
         raise ValueError("ranking undefined for this method")

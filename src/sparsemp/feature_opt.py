@@ -6,8 +6,9 @@ line search. The sparsity penalty does not depend on theta and is added
 back by the caller when reporting total cost.
 
 The theta layout lives here only: `FeatureObjective.encode`, `decode` and
-`clamp`. SciPy's line search, the one `scipy.optimize` piece used, is
-imported when `bfgs_minimize` runs, so import and ranking never load it.
+`clamp`. So does the line search (`_wolfe_search`): it mirrors SciPy's
+`line_search_wolfe2` bit for bit for the one way BFGS calls it, so nothing
+in the package loads `scipy.optimize`.
 
 Each cost/gradient evaluation covers all DoF blocks with one batched kernel
 call (`rbf.basis_and_partials`) into a workspace that `FeatureObjective`
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +41,6 @@ LOG_S2_MIN = math.log(SIGMA2_MIN)
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 GRAD_TOL_REL = 1e-6
-# Messages of scipy's line-search warnings; a failed search is handled as
-# a terminal state, so they only add noise.
-_LINE_SEARCH_WARNINGS = r"(The line search algorithm|Rounding errors prevent the line search)"
 
 
 class FeatureObjective:
@@ -171,6 +168,105 @@ def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
         raise ValueError("H must be a Fortran-ordered float64 array")
 
 
+def _wolfe_search(objective: FeatureObjective, x: np.ndarray, p: np.ndarray,
+                  f0: float, g0: np.ndarray) -> tuple[float | None, float | None]:
+    """Strong-Wolfe step along p from x: (alpha, phi(alpha)), or (None, None).
+
+    phi(alpha) = objective.cost(x + alpha p) and phi'(alpha) =
+    objective.grad(x + alpha p) . p. This is Nocedal & Wright's Algorithm
+    3.5 (Numerical Optimization, 1999, pp. 59-61) as SciPy's
+    `line_search_wolfe2` writes it, cut to the way `bfgs_minimize` calls
+    it: c1 = WOLFE_C1, c2 = WOLFE_C2, first trial 1, no step bound. The
+    trials, their order and their arithmetic are SciPy's, so the steps are
+    bit for bit the same. The step doubles for at most 50 trials; if none
+    brackets a Wolfe point, the last trial is returned. SciPy's guard
+    against a zero step is left out: doubled from 1, the step never is.
+    """
+    def phi(a):
+        return objective.cost(x + a * p)
+
+    def dphi(a):
+        return np.dot(objective.grad(x + a * p), p)
+
+    dphi0 = np.dot(g0, p)
+    a0, phi_a0, dphi_a0 = 0, f0, dphi0
+    a1 = 1.0
+    phi_a1 = phi(a1)
+    for i in range(50):
+        if phi_a1 > f0 + WOLFE_C1 * a1 * dphi0 or (phi_a1 >= phi_a0 and i > 0):
+            return _zoom(phi, dphi, f0, dphi0, a0, a1, phi_a0, phi_a1, dphi_a0)
+        dphi_a1 = dphi(a1)
+        if abs(dphi_a1) <= -WOLFE_C2 * dphi0:
+            return a1, phi_a1
+        if dphi_a1 >= 0:
+            return _zoom(phi, dphi, f0, dphi0, a1, a0, phi_a1, phi_a0, dphi_a1)
+        a0, phi_a0, dphi_a0 = a1, phi_a1, dphi_a1
+        a1 = 2 * a1
+        phi_a1 = phi(a1)
+    return a1, phi_a1
+
+
+def _zoom(phi, dphi, f0, dphi0, a_lo, a_hi, phi_lo, phi_hi, dphi_lo):
+    """Algorithm 3.6: shrink the bracket to a strong-Wolfe step, trying the
+    cubic, then the quadratic interpolant, then bisection; gives up
+    (None, None) after 11 trials."""
+    a_rec, phi_rec = 0, f0
+    for i in range(11):
+        dalpha = a_hi - a_lo
+        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
+        cchk, qchk = 0.2 * dalpha, 0.1 * dalpha
+        a_j = None if i == 0 else _cubicmin(a_lo, phi_lo, dphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if a_j is None or a_j > b - cchk or a_j < a + cchk:
+            a_j = _quadmin(a_lo, phi_lo, dphi_lo, a_hi, phi_hi)
+            if a_j is None or a_j > b - qchk or a_j < a + qchk:
+                a_j = a_lo + 0.5 * dalpha
+        phi_aj = phi(a_j)
+        if phi_aj > f0 + WOLFE_C1 * a_j * dphi0 or phi_aj >= phi_lo:
+            a_rec, phi_rec = a_hi, phi_hi
+            a_hi, phi_hi = a_j, phi_aj
+            continue
+        dphi_aj = dphi(a_j)
+        if abs(dphi_aj) <= -WOLFE_C2 * dphi0:
+            return a_j, phi_aj
+        if dphi_aj * (a_hi - a_lo) >= 0:
+            a_rec, phi_rec = a_hi, phi_hi
+            a_hi, phi_hi = a_lo, phi_lo
+        else:
+            a_rec, phi_rec = a_lo, phi_lo
+        a_lo, phi_lo, dphi_lo = a_j, phi_aj, dphi_aj
+    return None, None
+
+
+def _cubicmin(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
+    fpa at a, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db, dc = b - a, c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.array([[dc ** 2, -db ** 2], [-dc ** 3, db ** 3]])
+            A, B = np.dot(d1, np.asarray([fb - fa - fpa * db, fc - fa - fpa * dc]))
+            A /= denom
+            B /= denom
+            xmin = a + (-B + np.sqrt(B * B - 3 * A * fpa)) / (3 * A)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _quadmin(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa
+    at a, or None."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a * 1.0
+            B = (fb - fa - fpa * db) / (db * db)
+            xmin = a - fpa / (2.0 * B)
+        except ArithmeticError:
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
 @dataclass
 class BfgsResult:
     theta: np.ndarray
@@ -190,14 +286,15 @@ def bfgs_minimize(
 ) -> BfgsResult:
     """Dense BFGS with a strong-Wolfe line search.
 
-    Returns the best iterate seen; a line-search failure ends the run with
-    the best-so-far, flagged. The run converges when the gradient norm is
-    at most GRAD_TOL_REL (1 + |f(theta0)|). `project` (if given) is applied
-    to each accepted iterate, e.g. `objective.clamp`. Emits one DEBUG record
-    on the `sparsemp.feature_opt` logger per call.
+    The search is `_wolfe_search`, which takes the steps SciPy's
+    `line_search_wolfe2` takes with c1 = WOLFE_C1, c2 = WOLFE_C2 and
+    maxiter = 50, so no run loads `scipy.optimize`. Returns the best
+    iterate seen; a line-search failure ends the run with the best-so-far,
+    flagged. The run converges when the gradient norm is at most
+    GRAD_TOL_REL (1 + |f(theta0)|). `project` (if given) is applied to each
+    accepted iterate, e.g. `objective.clamp`. Emits one DEBUG record on the
+    `sparsemp.feature_opt` logger per call.
     """
-    from scipy.optimize import line_search  # the only scipy.optimize user
-
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise ValueError("non-finite initial point")
@@ -219,45 +316,38 @@ def bfgs_minimize(
     ls_failed = False
     converged = np.linalg.norm(g) <= grad_tol
     it = 0
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", message=_LINE_SEARCH_WARNINGS, category=RuntimeWarning
-        )
-        while not converged and it < max_iters:
-            d = -g if H is None else blas.dsymv(-1.0, H, g)
-            if d @ g >= 0:
-                # Safeguard: reset to steepest descent if H lost definiteness.
-                H = None
-                d = -g
-            alpha, _, _, f_new, _, _ = line_search(
-                objective.cost, objective.grad, theta, d, gfk=g, old_fval=f,
-                c1=WOLFE_C1, c2=WOLFE_C2, maxiter=50,
-            )
-            if alpha is None:
-                ls_failed = True
-                break
-            s = alpha * d
-            theta_new = theta + s
-            if project is not None:
-                projected = project(theta_new)
-                if not np.array_equal(projected, theta_new):
-                    theta_new = projected
-                    s = theta_new - theta
-            f_new, g_new = objective.cost_grad(theta_new)
-            y = g_new - g
-            ys = y @ s
-            if ys > CURVATURE_EPS:
-                if H is None:
-                    H = np.eye(dim, order="F")
-                    if first_step:
-                        H *= ys / (y @ y)
-                        first_step = False
-                _bfgs_update(H, s, y)
-            theta, f, g = theta_new, f_new, g_new
-            if f < best_f:
-                best_f, best_theta = f, theta.copy()
-            it += 1
-            converged = np.linalg.norm(g) <= grad_tol
+    while not converged and it < max_iters:
+        d = -g if H is None else blas.dsymv(-1.0, H, g)
+        if d @ g >= 0:
+            # Safeguard: reset to steepest descent if H lost definiteness.
+            H = None
+            d = -g
+        alpha, _ = _wolfe_search(objective, theta, d, f, g)
+        if alpha is None:
+            ls_failed = True
+            break
+        s = alpha * d
+        theta_new = theta + s
+        if project is not None:
+            projected = project(theta_new)
+            if not np.array_equal(projected, theta_new):
+                theta_new = projected
+                s = theta_new - theta
+        f_new, g_new = objective.cost_grad(theta_new)
+        y = g_new - g
+        ys = y @ s
+        if ys > CURVATURE_EPS:
+            if H is None:
+                H = np.eye(dim, order="F")
+                if first_step:
+                    H *= ys / (y @ y)
+                    first_step = False
+            _bfgs_update(H, s, y)
+        theta, f, g = theta_new, f_new, g_new
+        if f < best_f:
+            best_f, best_theta = f, theta.copy()
+        it += 1
+        converged = np.linalg.norm(g) <= grad_tol
     n_evals = objective.n_evals - evals0
     if logger.isEnabledFor(logging.DEBUG):
         exit_kind = "converged" if converged else "line_search" if ls_failed else "max_iters"

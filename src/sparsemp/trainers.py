@@ -80,6 +80,10 @@ class TrainerConfig:
             raise ValueError("initial_p must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.max_outer_iters < 0:
+            raise ValueError("max_outer_iters must be >= 0")
+        if self.bfgs_max_iters is not None and self.bfgs_max_iters < 0:
+            raise ValueError("bfgs_max_iters must be >= 0")
 
 
 @dataclass

@@ -154,6 +154,22 @@ class TestTrain:
         assert "usage error: --cv-folds must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--restarts", "0", "restarts must be >= 1"),
+        ("--epsilon", "-1", "epsilon must be positive"),
+        ("--initial-p", "0", "initial_p must be >= 1"),
+        ("--max-iters", "-1", "max_outer_iters must be >= 0"),
+        ("--bfgs-iters", "-1", "bfgs_max_iters must be >= 0"),
+    ])
+    def test_out_of_range_flag_is_usage_error(
+        self, flag, value, message, fixture_dir, tmp_path, capsys
+    ):
+        code = run("train", "lsdp", str(fixture_dir / "demo_1.csv"),
+                   "--out", str(tmp_path / "p.json"), flag, value)
+        assert code == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
+
     def test_clsdp_rejects_demos_on_different_time_origins(
         self, fixture_dir, tmp_path, capsys
     ):
@@ -274,6 +290,20 @@ class TestRankEval:
         _, dmp = trained
         code = run("rank", str(dmp), str(fixture_dir / "demo_1.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--grid", "1", "--grid must be >= 2"),
+        ("--ratio", "0", "--ratio must lie in (0, 1)"),
+        ("--ratio", "1.5", "--ratio must lie in (0, 1)"),
+    ])
+    def test_out_of_range_flag_is_usage_error(
+        self, flag, value, message, fixture_dir, tmp_path, capsys
+    ):
+        # checked before anything is read: the policy file does not exist
+        code = run("rank", str(tmp_path / "missing.json"),
+                   str(fixture_dir / "demo_1.csv"), flag, value)
+        assert code == 2
+        assert f"usage error: {message}" in capsys.readouterr().err
 
     def test_eval_reports_all_policies(self, fixture_dir, trained, tmp_path, capsys):
         lsdp, dmp = trained

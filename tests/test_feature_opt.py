@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import blas
+from scipy.optimize import line_search
 
 from sparsemp import feature_opt, rbf
 from sparsemp.feature_opt import (
+    WOLFE_C1,
+    WOLFE_C2,
     BfgsResult,
     FeatureObjective,
     _bfgs_update,
+    _wolfe_search,
     bfgs_minimize,
 )
 from sparsemp.rbf import RbfParams, StackedRbfParams, eval_basis
@@ -228,6 +232,85 @@ class TestThetaLayout:
             clamped, [-1.0, 2.5, 0.0, feature_opt.LOG_S2_MIN])
         assert clamped is not theta and theta[0] == -5.0
         np.testing.assert_array_equal(obj.clamp([6.0, 1.5, -1.0, -1.0])[:2], [5.0, 1.5])
+
+
+class TrialLog:
+    """cost/grad pair that records each point it is asked about."""
+
+    def __init__(self, cost, grad):
+        self._cost, self._grad, self.trials = cost, grad, []
+
+    def cost(self, x):
+        self.trials.append(("cost", x.copy()))
+        return self._cost(x)
+
+    def grad(self, x):
+        self.trials.append(("grad", x.copy()))
+        return self._grad(x)
+
+
+def search_against_scipy(cost, grad, x, p):
+    """Runs the in-package search and SciPy's `line_search` as BFGS calls it,
+    asserts the same step, value and trial points bit for bit; returns the
+    step."""
+    f0, g0 = cost(x), grad(x)
+    ours, theirs = TrialLog(cost, grad), TrialLog(cost, grad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha, phi = _wolfe_search(ours, x, p, f0, g0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # SciPy warns where the search fails
+        expected = line_search(theirs.cost, theirs.grad, x, p, gfk=g0, old_fval=f0,
+                               c1=WOLFE_C1, c2=WOLFE_C2, maxiter=50)
+    assert (alpha, phi) == (expected[0], expected[3])
+    assert [kind for kind, _ in ours.trials] == [kind for kind, _ in theirs.trials]
+    for (_, mine), (_, scipys) in zip(ours.trials, theirs.trials):
+        np.testing.assert_array_equal(mine, scipys)
+    return alpha
+
+
+def wolfe_branch_case(branch, rng):
+    """(cost, grad, x, p) of a bowl, a quartic or a ramp whose search
+    takes `branch`."""
+    x = rng.uniform(0.5, 2.0, rng.integers(1, 6))
+    if branch == "fifty_doublings":  # a linear cost never bends
+        return (lambda z: x @ z), (lambda z: x), x, -x
+    if branch == "zoom_bisects":  # the quadratic interpolant of a quartic overshoots
+        return (lambda z: 0.25 * np.sum(z ** 4)), (lambda z: z ** 3), 3 * x, -(3 * x) ** 3
+    curv = {"unit_step": 1.0, "doubling": 0.04, "zoom": 3.0, "zoom_fails": 3.0}[branch]
+    if branch == "zoom_fails":  # a slope that never flattens leaves no Wolfe point
+        return (lambda z: 0.5 * curv * (z @ z)), (lambda z: x), x, -curv * x
+    return (lambda z: 0.5 * curv * (z @ z)), (lambda z: curv * z), x, -curv * x
+
+
+# The step each branch case ends on.
+BRANCH_STEPS = {
+    "unit_step": lambda a: a == 1.0,
+    "doubling": lambda a: a == 4.0,
+    "zoom": lambda a: 0.0 < a < 1.0,
+    "zoom_bisects": lambda a: 0.0 < a < 1.0,
+    "zoom_fails": lambda a: a is None,
+    "fifty_doublings": lambda a: a == 2.0 ** 50,
+}
+
+
+class TestWolfeSearch:
+    """The in-package strong-Wolfe search against SciPy's as the oracle."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.floats(-4.0, 2.0))
+    def test_matches_scipy_on_rbf_objectives(self, seed, log_scale):
+        obj, rng = flat_objective(seed=seed % 1000)
+        theta = random_theta(3, 1, np.random.default_rng(seed))
+        scale = 10.0 ** log_scale * rng.uniform(0.1, 1.0, theta.size)
+        search_against_scipy(obj.cost, obj.grad, theta, -scale * obj.grad(theta))
+
+    @pytest.mark.parametrize("branch", BRANCH_STEPS)
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_on_each_branch(self, branch, seed):
+        cost, grad, x, p = wolfe_branch_case(branch, np.random.default_rng(seed))
+        assert BRANCH_STEPS[branch](search_against_scipy(cost, grad, x, p))
 
 
 class TestBfgsMinimize:

@@ -49,8 +49,9 @@ def test_third_party_imports_are_declared_dependencies():
     assert not undeclared, f"imports outside pyproject.toml's dependencies: {undeclared}"
 
 
-# Ranks features on a small problem, then runs BFGS once; prints whether
-# scipy.optimize was loaded after each step.
+# Ranks features on a small problem, runs BFGS once, then trains one small
+# lsdp and one small clsdp model; prints whether scipy.optimize was loaded
+# after each step.
 LOADS_SCRIPT = """
 import sys
 import numpy as np
@@ -67,11 +68,18 @@ print("scipy.optimize" in sys.modules)
 obj = sparsemp.FeatureObjective(t, y, rng.standard_normal((6, 2)), 1e-4)
 sparsemp.bfgs_minimize(obj, obj.encode(params), max_iters=2)
 print("scipy.optimize" in sys.modules)
+demos, _ = sparsemp.synth_demoset(n_demos=2, n_dof=2, n_samples=40, dt=0.025,
+                                  k_features=3, seed=0)
+config = sparsemp.TrainerConfig(max_outer_iters=3, bfgs_max_iters=5)
+sparsemp.train_lsdp(demos.demos[0], config)
+print("scipy.optimize" in sys.modules)
+sparsemp.train_clsdp(demos, config)
+print("scipy.optimize" in sys.modules)
 """
 
 
-def test_scipy_optimize_loads_only_when_bfgs_runs():
+def test_scipy_optimize_never_loads():
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     proc = subprocess.run([sys.executable, "-c", LOADS_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False"] * 4

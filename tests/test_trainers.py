@@ -40,6 +40,11 @@ class TestTrainerConfig:
         with pytest.raises(ValueError):
             TrainerConfig(restarts=0)
 
+    @pytest.mark.parametrize("field", ["max_outer_iters", "bfgs_max_iters"])
+    def test_negative_iteration_budget_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            TrainerConfig(**{field: -1})
+
 
 class TestScalePenalties:
     def test_unchanged_when_residual_constant(self):
