@@ -46,6 +46,11 @@ def _build_stream(demos: trajectory.DemoSet, window: float) -> trajectory.JointT
 
 
 def cmd_synth(args) -> int:
+    _require(args.rate > 0, "--rate must be positive")
+    _require(args.demos >= 1, "--demos must be >= 1")
+    _require(args.samples >= 2, "--samples must be >= 2")
+    _require(args.dof >= 1, "--dof must be >= 1")
+    _require(args.features >= 1, "--features must be >= 1")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dt = 1.0 / args.rate
@@ -100,13 +105,14 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------- segment
 
 def cmd_segment(args) -> int:
+    _require(args.count >= 1, "--count must be >= 1")
+    _require(args.window > 0, "--window must be positive")
+    _require(args.rate > 0, "--rate must be positive")
     stream = trajectory.load_trajectory_csv(args.input)
     if abs(stream.dt - 1.0 / args.rate) > 1e-6:
         raise ValueError(
             f"stream sampled at dt={stream.dt:.6g}, --rate says {1.0 / args.rate:.6g}"
         )
-    if args.count < 1:
-        raise _UsageError("--count must be >= 1")
     demos, peaks = trajectory.segment_demonstrations(stream, args.count, args.window)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,11 +183,13 @@ def cmd_train(args) -> int:
 
 def _train(args) -> int:
     method = args.method
-    if method != "clsdp" and len(args.demos) != 1:
-        raise _UsageError(f"{method} trains on exactly one demonstration; "
-                          "use clsdp for several")
-    if args.cv_folds is not None and args.cv_folds < 2:
-        raise _UsageError("--cv-folds must be >= 2")
+    _require(method == "clsdp" or len(args.demos) == 1,
+             f"{method} trains on exactly one demonstration; use clsdp for several")
+    _require(args.cv_folds is None or args.cv_folds >= 2, "--cv-folds must be >= 2")
+    config = _trainer_config(args)  # ridge shares its --lambda2 check
+    if method in ("dmp", "ridge"):  # a DMP's phase basis needs two centers
+        least = 2 if method == "dmp" else 1
+        _require(args.n_basis >= least, f"--n-basis must be >= {least} for {method}")
     demos = _load_demos(args.demos)
     if method in ("dmp", "ridge"):
         demo = demos.demos[0]
@@ -196,7 +204,6 @@ def _train(args) -> int:
         print(f"params per DoF: {model.params_per_dof()}")
         return 0
 
-    config = _trainer_config(args)
     data = demos if method == "clsdp" else demos.demos[0]
     if args.cv_folds is not None:
         lam_grid = [
@@ -222,10 +229,8 @@ def _train(args) -> int:
 # ---------------------------------------------------------------- rank
 
 def cmd_rank(args) -> int:
-    if args.grid < 2:
-        raise _UsageError("--grid must be >= 2")
-    if not 0.0 < args.ratio < 1.0:
-        raise _UsageError("--ratio must lie in (0, 1)")
+    _require(args.grid >= 2, "--grid must be >= 2")
+    _require(0.0 < args.ratio < 1.0, "--ratio must lie in (0, 1)")
     model = policy.load_policy(args.policy)
     if not isinstance(model, trainers.TrainedPrimitive):
         raise ValueError("ranking undefined for this method")
@@ -286,6 +291,12 @@ def cmd_eval(args) -> int:
 
 class _UsageError(ValueError):
     pass
+
+
+def _require(ok: bool, message: str) -> None:
+    """A usage error (exit 2) with `message` unless `ok`."""
+    if not ok:
+        raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:

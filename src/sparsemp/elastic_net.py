@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .rbf import RbfParams, StackedRbfParams
+from .rbf import RbfParams
 
 logger = logging.getLogger(__name__)
 
@@ -428,8 +428,8 @@ def active_set(W: np.ndarray, tol: float = 0.0) -> np.ndarray:
 
 def prune(
     W: np.ndarray,
-    params: RbfParams | StackedRbfParams,
-) -> tuple[np.ndarray, RbfParams | StackedRbfParams]:
+    params: RbfParams,
+) -> tuple[np.ndarray, RbfParams]:
     """Drop features whose coefficient rows are at most TOL_PRUNE in norm.
 
     Removal is permanent: the matching centers and widths disappear from the

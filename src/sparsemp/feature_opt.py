@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .rbf import SIGMA2_MIN, RbfParams, StackedRbfParams, basis_and_partials, param_arrays
+from .rbf import SIGMA2_MIN, RbfParams, basis_and_partials
 
 logger = logging.getLogger(__name__)
 
@@ -46,10 +46,10 @@ GRAD_TOL_REL = 1e-6
 class FeatureObjective:
     """Smooth part of the training cost as a function of theta.
 
-    Handles both the flat layout (one parameter set shared by all DoFs,
-    tasks = DoF columns of Y) and the stacked layout (one set per DoF,
-    DoF-major row blocks of Y, tasks = demonstrations). Y, W and lambda2
-    are fixed for the object's life: the last evaluated point is cached.
+    Y has one row block of N samples per basis block: a single block
+    shared by all DoFs (tasks = DoF columns of Y), or one block per DoF
+    (DoF-major row blocks, tasks = demonstrations). Y, W and lambda2 are
+    fixed for the object's life: the last evaluated point is cached.
     """
 
     def __init__(
@@ -89,22 +89,16 @@ class FeatureObjective:
         s2 = np.exp(np.minimum(theta[nb * p:].reshape(nb, p), LOG_S2_MAX))
         return mus, s2
 
-    def encode(self, params: RbfParams | StackedRbfParams) -> np.ndarray:
-        """theta = [all centers, all log squared widths], DoF block by block."""
-        mu, s2 = param_arrays(params)
-        theta = np.concatenate([mu.reshape(-1), np.log(s2).reshape(-1)])
+    def encode(self, params: RbfParams) -> np.ndarray:
+        """theta = [all centers, all log squared widths], block by block."""
+        theta = np.concatenate([params.mu.reshape(-1), np.log(params.sigma2).reshape(-1)])
         if theta.size != self.theta_size:
             raise ValueError(f"theta size {theta.size}, expected {self.theta_size}")
         return theta
 
-    def decode(self, theta: np.ndarray) -> RbfParams | StackedRbfParams:
+    def decode(self, theta: np.ndarray) -> RbfParams:
         mus, s2 = self.split_theta(theta)
-        s2 = np.maximum(s2, SIGMA2_MIN)
-        if self.n_blocks == 1:
-            return RbfParams(mu=mus[0], sigma2=s2[0])
-        return StackedRbfParams(
-            per_dof=[RbfParams(mu=mus[i], sigma2=s2[i]) for i in range(self.n_blocks)]
-        )
+        return RbfParams(mu=mus, sigma2=np.maximum(s2, SIGMA2_MIN))
 
     def clamp(self, theta: np.ndarray) -> np.ndarray:
         """A copy of theta with the centers clipped to [t_0 - T, t_end + T],

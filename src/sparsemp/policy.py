@@ -12,10 +12,15 @@ import json
 import numpy as np
 
 from .baselines import DmpModel, RidgeModel
-from .rbf import RbfParams, StackedRbfParams
+from .rbf import RbfParams
 from .trainers import TrainedPrimitive
 
 SCHEMA_VERSION = 1
+
+
+def _floats(a) -> list:
+    """An array as nested lists of Python floats."""
+    return np.asarray(a, dtype=float).tolist()
 
 
 def _coef_block(W: np.ndarray) -> dict:
@@ -24,7 +29,7 @@ def _coef_block(W: np.ndarray) -> dict:
         "n_features": int(W.shape[0]),
         "n_tasks": int(W.shape[1]),
         "active_rows": [int(i) for i in active],
-        "values": [list(map(float, W[i])) for i in active],
+        "values": _floats(W[active]),
     }
 
 
@@ -36,14 +41,10 @@ def _coef_from_block(block: dict) -> np.ndarray:
 
 
 def primitive_to_dict(prim: TrainedPrimitive, ground_truth: bool = False) -> dict:
-    if prim.mode == "clsdp":
-        centers = [list(map(float, p.mu)) for p in prim.rbf_params.per_dof]
-        widths = [list(map(float, p.sigma2)) for p in prim.rbf_params.per_dof]
-        intercepts = [list(map(float, row)) for row in prim.intercepts]
-    else:
-        centers = list(map(float, prim.rbf_params.mu))
-        widths = list(map(float, prim.rbf_params.sigma2))
-        intercepts = list(map(float, prim.intercepts))
+    # lsdp writes its one shared basis block as flat lists, clsdp one list per DoF.
+    centers, widths = prim.rbf_params.mu, prim.rbf_params.sigma2
+    if prim.mode == "lsdp":
+        centers, widths = centers[0], widths[0]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "method": prim.mode,
@@ -51,9 +52,9 @@ def primitive_to_dict(prim: TrainedPrimitive, ground_truth: bool = False) -> dic
         "duration": float(prim.duration),
         "n": int(prim.n_dof),
         "d": int(prim.n_demos),
-        "intercepts": intercepts,
-        "centers": centers,
-        "widths": widths,
+        "intercepts": _floats(prim.intercepts),
+        "centers": _floats(centers),
+        "widths": _floats(widths),
         "coefficients": _coef_block(prim.W),
         "metadata": _jsonable(prim.metadata),
     }
@@ -74,26 +75,23 @@ def _jsonable(obj):
     return obj
 
 
+def _basis(doc: dict) -> RbfParams:
+    """The centers and widths of a policy: flat lists, or one list per DoF."""
+    try:
+        mu, s2 = np.array(doc["centers"], dtype=float), np.array(doc["widths"], dtype=float)
+    except ValueError as err:  # per-DoF lists of different lengths
+        raise ValueError("inconsistent feature counts across DoFs") from err
+    return RbfParams(mu=mu, sigma2=s2)
+
+
 def primitive_from_dict(doc: dict) -> TrainedPrimitive:
-    mode = doc["method"]
     meta = doc["metadata"]
-    N = int(meta["n_samples"])
-    t = np.arange(N) * doc["dt"]
-    if mode == "clsdp":
-        params = StackedRbfParams(per_dof=[
-            RbfParams(mu=np.array(mu), sigma2=np.array(s2))
-            for mu, s2 in zip(doc["centers"], doc["widths"])
-        ])
-        intercepts = np.array(doc["intercepts"])
-    else:
-        params = RbfParams(mu=np.array(doc["centers"]), sigma2=np.array(doc["widths"]))
-        intercepts = np.array(doc["intercepts"])
     return TrainedPrimitive(
-        mode=mode,
-        intercepts=intercepts,
-        rbf_params=params,
+        mode=doc["method"],
+        intercepts=np.array(doc["intercepts"]),
+        rbf_params=_basis(doc),
         W=_coef_from_block(doc["coefficients"]),
-        t=t,
+        t=np.arange(int(meta["n_samples"])) * doc["dt"],
         metadata=dict(meta),
     )
 
@@ -106,15 +104,15 @@ def dmp_to_dict(model: DmpModel) -> dict:
         "duration": float(model.tau),
         "n": int(model.n_dof),
         "d": 1,
-        "weights": [list(map(float, row)) for row in model.weights],
-        "goal": list(map(float, model.goal)),
-        "y0": list(map(float, model.y0)),
+        "weights": _floats(model.weights),
+        "goal": _floats(model.goal),
+        "y0": _floats(model.y0),
         "tau": float(model.tau),
         "alpha_z": float(model.alpha_z),
         "beta_z": float(model.beta_z),
         "alpha_x": float(model.alpha_x),
-        "phase_centers": list(map(float, model.centers)),
-        "phase_widths": list(map(float, model.widths)),
+        "phase_centers": _floats(model.centers),
+        "phase_widths": _floats(model.widths),
     }
 
 
@@ -142,24 +140,21 @@ def ridge_to_dict(model: RidgeModel) -> dict:
         "n": int(model.n_dof),
         "d": 1,
         "n_samples": int(model.t.size),
-        "intercepts": list(map(float, model.intercepts)),
-        "centers": list(map(float, model.rbf_params.mu)),
-        "widths": list(map(float, model.rbf_params.sigma2)),
+        "intercepts": _floats(model.intercepts),
+        "centers": _floats(model.rbf_params.mu[0]),
+        "widths": _floats(model.rbf_params.sigma2[0]),
         "coefficients": _coef_block(model.W),
         "lambda2": float(model.lambda2),
     }
 
 
 def ridge_from_dict(doc: dict) -> RidgeModel:
-    N = int(doc["n_samples"])
     return RidgeModel(
-        rbf_params=RbfParams(
-            mu=np.array(doc["centers"]), sigma2=np.array(doc["widths"])
-        ),
+        rbf_params=_basis(doc),
         W=_coef_from_block(doc["coefficients"]),
         intercepts=np.array(doc["intercepts"]),
         lambda2=doc["lambda2"],
-        t=np.arange(N) * doc["dt"],
+        t=np.arange(int(doc["n_samples"])) * doc["dt"],
     )
 
 

@@ -2,11 +2,13 @@
 
 The kernel is k(t; mu, s2) = exp(-(t - mu)^2 / (2 s2)). Widths are carried
 as squared widths s2 and optimized in log space so positivity never needs a
-constraint. The coupled variant stacks one parameter set per DoF, block by
-block along the rows. `basis_and_partials` is the one implementation of the
-kernel: values, accelerations and parameter partials for all DoF blocks in
-one call, optionally into a caller-owned workspace. `build_basis` and
-`eval_basis` run only its first half, the values and accelerations.
+constraint. `RbfParams` is the one parameter type: n_blocks rows of p
+centers and widths, one row per DoF of a coupled model and a single row
+for a basis shared by all DoFs. The basis matrices stack the blocks along
+their rows. `basis_and_partials` is the one implementation of the kernel:
+values, accelerations and parameter partials for all blocks in one call,
+optionally into a caller-owned workspace. `build_basis` and `eval_basis`
+run only its first half, the values and accelerations.
 """
 
 from __future__ import annotations
@@ -20,17 +22,22 @@ SIGMA2_MIN = 1e-6
 
 @dataclass(frozen=True)
 class RbfParams:
-    """Centers (s) and squared widths (s^2) of p basis functions."""
+    """Centers (s) and squared widths (s^2), (n_blocks, p) each.
+
+    Block i is DoF i's basis in a coupled model, or the one basis that a
+    single-demonstration or ridge model shares across its DoFs. A 1-D
+    input is one block.
+    """
 
     mu: np.ndarray
     sigma2: np.ndarray
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        sigma2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
+        mu = np.atleast_2d(np.asarray(self.mu, dtype=float))
+        sigma2 = np.atleast_2d(np.asarray(self.sigma2, dtype=float))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma2", sigma2)
-        if mu.shape != sigma2.shape or mu.ndim != 1 or mu.size < 1:
+        if mu.shape != sigma2.shape or mu.ndim != 2 or mu.size < 1:
             raise ValueError(f"inconsistent parameter shapes: {mu.shape}, {sigma2.shape}")
         if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
             raise ValueError("non-finite basis parameters")
@@ -38,44 +45,24 @@ class RbfParams:
             raise ValueError(f"width below sigma2_min={SIGMA2_MIN}")
 
     @property
+    def n_blocks(self) -> int:
+        return self.mu.shape[0]
+
+    @property
     def n_features(self) -> int:
-        return self.mu.size
+        return self.mu.shape[1]
 
     def select(self, keep: np.ndarray) -> "RbfParams":
-        return RbfParams(mu=self.mu[keep], sigma2=self.sigma2[keep])
+        """The features `keep` of every block."""
+        return RbfParams(mu=self.mu[:, keep], sigma2=self.sigma2[:, keep])
 
 
-@dataclass(frozen=True)
-class StackedRbfParams:
-    """One RbfParams set per DoF, all sharing the feature count p."""
-
-    per_dof: list[RbfParams]
-
-    def __post_init__(self):
-        if len(self.per_dof) < 1:
-            raise ValueError("need at least one DoF")
-        p = self.per_dof[0].n_features
-        if any(params.n_features != p for params in self.per_dof):
-            raise ValueError("inconsistent feature counts across DoFs")
-
-    @property
-    def n_dof(self) -> int:
-        return len(self.per_dof)
-
-    @property
-    def n_features(self) -> int:
-        return self.per_dof[0].n_features
-
-    def select(self, keep: np.ndarray) -> "StackedRbfParams":
-        return StackedRbfParams(per_dof=[params.select(keep) for params in self.per_dof])
-
-
-def param_arrays(params: RbfParams | StackedRbfParams) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and squared widths, (p,) each, or (n, p) with row i from per_dof[i]."""
-    if isinstance(params, StackedRbfParams):
-        return (np.stack([block.mu for block in params.per_dof]),
-                np.stack([block.sigma2 for block in params.per_dof]))
-    return params.mu, params.sigma2
+def StackedRbfParams(per_dof: list[RbfParams]) -> RbfParams:
+    """The blocks of per_dof[0], per_dof[1], ... stacked into one RbfParams."""
+    if len({params.n_features for params in per_dof}) > 1:
+        raise ValueError("inconsistent feature counts across DoFs")
+    return RbfParams(mu=np.concatenate([params.mu for params in per_dof]),
+                     sigma2=np.concatenate([params.sigma2 for params in per_dof]))
 
 
 def _values(t, mu, inv, phi, acc, a, g, q) -> None:
@@ -128,13 +115,11 @@ def basis_and_partials(
     return tuple(out)
 
 
-def build_basis(
-    t: np.ndarray, params: RbfParams | StackedRbfParams
-) -> tuple[np.ndarray, np.ndarray]:
-    """Basis values and their time-accelerations, each N x p, or (n*N) x p
-    for stacked parameters with DoF block i (rows N*i to N*(i+1)) from
-    per_dof[i]. Equal to the first two slices of `basis_and_partials`."""
-    mu, s2 = param_arrays(params)
+def build_basis(t: np.ndarray, params: RbfParams) -> tuple[np.ndarray, np.ndarray]:
+    """Basis values and their time-accelerations, each (n_blocks*N) x p,
+    block i in rows N*i to N*(i+1). Equal to the first two slices of
+    `basis_and_partials`."""
+    mu, s2 = params.mu, params.sigma2
     t, p = np.asarray(t, dtype=float), mu.shape[-1]
     shape = mu.shape[:-1] + (t.size, p)
     phi, acc = np.empty((2,) + shape)  # scratch apart, so it is freed on return
@@ -142,6 +127,6 @@ def build_basis(
     return phi.reshape(-1, p), acc.reshape(-1, p)
 
 
-def eval_basis(t: np.ndarray, params: RbfParams | StackedRbfParams) -> np.ndarray:
+def eval_basis(t: np.ndarray, params: RbfParams) -> np.ndarray:
     """The basis values of `build_basis`."""
     return build_basis(t, params)[0]

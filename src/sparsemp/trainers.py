@@ -19,7 +19,7 @@ import numpy as np
 
 from . import elastic_net, feature_opt, rbf, trajectory
 from .elastic_net import AugmentedProblem, EmptyModelError
-from .rbf import RbfParams, StackedRbfParams
+from .rbf import RbfParams
 from .trajectory import DemoSet, JointTrajectory
 
 logger = logging.getLogger(__name__)
@@ -92,14 +92,24 @@ class TrainedPrimitive:
 
     mode: str                              # "lsdp" or "clsdp"
     intercepts: np.ndarray                 # (n,) or (n, d)
-    rbf_params: RbfParams | StackedRbfParams
+    rbf_params: RbfParams                  # 1 block (lsdp) or n blocks (clsdp)
     W: np.ndarray                          # p x n (lsdp) or p x d (clsdp)
     t: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        n_blocks, n_tasks = self.rbf_params.n_blocks, self.W.shape[1]
         if self.W.shape[0] != self.rbf_params.n_features:
             raise ValueError("coefficient rows and feature count disagree")
+        if self.mode == "lsdp" and n_blocks != 1:
+            raise ValueError(f"lsdp shares one basis block, got {n_blocks}")
+        expected = (n_tasks,) if self.mode == "lsdp" else (n_blocks, n_tasks)
+        if np.shape(self.intercepts) != expected:
+            raise ValueError(
+                f"{self.mode} intercepts have shape {np.shape(self.intercepts)}, "
+                f"expected {expected} from {n_blocks} basis block(s) and "
+                f"{n_tasks} coefficient column(s)"
+            )
 
     @property
     def dt(self) -> float:
@@ -111,9 +121,7 @@ class TrainedPrimitive:
 
     @property
     def n_dof(self) -> int:
-        if self.mode == "clsdp":
-            return self.rbf_params.n_dof
-        return self.W.shape[1]
+        return self.intercepts.shape[0]
 
     @property
     def n_demos(self) -> int:
@@ -176,10 +184,10 @@ def _initial_centers(t: np.ndarray, config: TrainerConfig) -> np.ndarray:
     return np.linspace(t[0], t[-1], config.initial_p)
 
 
-def _uniform_basis(mu0: np.ndarray, n_blocks: int):
-    """Centers mu0 at the initial width: flat for one block, else stacked per block."""
-    params = RbfParams(mu=mu0, sigma2=np.full(mu0.size, INITIAL_SIGMA2))
-    return params if n_blocks == 1 else StackedRbfParams(per_dof=[params] * n_blocks)
+def _uniform_basis(mu0: np.ndarray, n_blocks: int) -> RbfParams:
+    """Centers mu0 at the initial width, the same in each of n_blocks blocks."""
+    return RbfParams(mu=np.tile(mu0, (n_blocks, 1)),
+                     sigma2=np.full((n_blocks, mu0.size), INITIAL_SIGMA2))
 
 
 def _data_residual(prob: AugmentedProblem, W: np.ndarray) -> float:
@@ -194,7 +202,7 @@ def _fit(
     mu0: np.ndarray,
     n_blocks: int,
     config: TrainerConfig,
-) -> tuple[RbfParams | StackedRbfParams, np.ndarray, dict]:
+) -> tuple[RbfParams, np.ndarray, dict]:
     """One run of the alternating loop on centered data.
 
     Returns the basis, the coefficients and the run's record: the fit's

@@ -394,16 +394,9 @@ def test_criterion_10_serialization_round_trip(tmp_path):
         same = (back.mode == prim.mode
                 and np.array_equal(back.W, prim.W)
                 and np.array_equal(back.intercepts, prim.intercepts)
-                and np.array_equal(back.t, prim.t))
-        if prim.mode == "clsdp":
-            same = same and all(
-                np.array_equal(a.mu, b.mu) and np.array_equal(a.sigma2, b.sigma2)
-                for a, b in zip(back.rbf_params.per_dof,
-                                prim.rbf_params.per_dof))
-        else:
-            same = (same and np.array_equal(back.rbf_params.mu, prim.rbf_params.mu)
-                    and np.array_equal(back.rbf_params.sigma2,
-                                       prim.rbf_params.sigma2))
+                and np.array_equal(back.t, prim.t)
+                and np.array_equal(back.rbf_params.mu, prim.rbf_params.mu)
+                and np.array_equal(back.rbf_params.sigma2, prim.rbf_params.sigma2))
         ok = ok and same
     _report(10, "serialization round trip", ok,
             f"100 random primitives bit-exact: {ok}")

@@ -95,15 +95,15 @@ class TestRolloutDmp:
 class TestUniformRidgeBasis:
     def test_layout(self):
         params = uniform_ridge_basis(2.0, n_basis=5)
-        np.testing.assert_allclose(params.mu, np.linspace(0.0, 2.0, 5))
+        np.testing.assert_allclose(params.mu[0], np.linspace(0.0, 2.0, 5))
         spacing = 0.5
-        np.testing.assert_allclose(params.sigma2, spacing ** 2 / 2.0)
+        np.testing.assert_allclose(params.sigma2[0], spacing ** 2 / 2.0)
 
     def test_neighbor_attenuation(self):
         # With sigma^2 = spacing^2 / 2 each kernel decays to exp(-1) at the
         # adjacent center.
         params = uniform_ridge_basis(1.0, n_basis=6)
-        Phi = eval_basis(params.mu, params)
+        Phi = eval_basis(params.mu[0], params)
         off = np.diag(Phi, k=1)
         np.testing.assert_allclose(off, np.exp(-1.0), rtol=1e-12)
 

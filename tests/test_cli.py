@@ -96,6 +96,42 @@ class TestSegment:
         assert code == 1
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("synth", "--rate", "0", "--rate must be positive"),
+    ("synth", "--demos", "0", "--demos must be >= 1"),
+    ("synth", "--samples", "1", "--samples must be >= 2"),
+    ("synth", "--dof", "0", "--dof must be >= 1"),
+    ("synth", "--features", "0", "--features must be >= 1"),
+    ("segment", "--window", "0", "--window must be positive"),
+    ("segment", "--window", "-1", "--window must be positive"),
+    ("segment", "--rate", "0", "--rate must be positive"),
+])
+def test_synth_and_segment_out_of_range_flag_is_usage_error(
+    command, flag, value, message, tmp_path, capsys
+):
+    # checked before anything is read or written: the stream does not exist
+    out = tmp_path / "out"
+    argv = (["--out", str(out)] if command == "synth" else
+            [str(tmp_path / "missing.csv"), "--out-dir", str(out), "--count", "2"])
+    code = run(command, *argv, flag, value)
+    assert code == 2
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+TRAIN_FLAG_CASES = [
+    ("lsdp", "--restarts", "0", "restarts must be >= 1"),
+    ("lsdp", "--epsilon", "-1", "epsilon must be positive"),
+    ("lsdp", "--initial-p", "0", "initial_p must be >= 1"),
+    ("lsdp", "--max-iters", "-1", "max_outer_iters must be >= 0"),
+    ("lsdp", "--bfgs-iters", "-1", "bfgs_max_iters must be >= 0"),
+    ("dmp", "--n-basis", "1", "--n-basis must be >= 2 for dmp"),
+    ("dmp", "--n-basis", "0", "--n-basis must be >= 2 for dmp"),
+    ("ridge", "--n-basis", "0", "--n-basis must be >= 1 for ridge"),
+    ("ridge", "--lambda2", "-1", "lambda2 must be nonnegative"),
+]
+
+
 class TestTrain:
     def test_lsdp_writes_policy(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "lsdp.json"
@@ -154,17 +190,12 @@ class TestTrain:
         assert "usage error: --cv-folds must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--restarts", "0", "restarts must be >= 1"),
-        ("--epsilon", "-1", "epsilon must be positive"),
-        ("--initial-p", "0", "initial_p must be >= 1"),
-        ("--max-iters", "-1", "max_outer_iters must be >= 0"),
-        ("--bfgs-iters", "-1", "bfgs_max_iters must be >= 0"),
-    ])
+    @pytest.mark.parametrize("method, flag, value, message", TRAIN_FLAG_CASES,
+                             ids=["-".join(case[1:]) for case in TRAIN_FLAG_CASES])  # flag-value-message
     def test_out_of_range_flag_is_usage_error(
-        self, flag, value, message, fixture_dir, tmp_path, capsys
+        self, method, flag, value, message, fixture_dir, tmp_path, capsys
     ):
-        code = run("train", "lsdp", str(fixture_dir / "demo_1.csv"),
+        code = run("train", method, str(fixture_dir / "demo_1.csv"),
                    "--out", str(tmp_path / "p.json"), flag, value)
         assert code == 2
         assert f"usage error: {message}" in capsys.readouterr().err
@@ -304,6 +335,18 @@ class TestRankEval:
                    str(fixture_dir / "demo_1.csv"), flag, value)
         assert code == 2
         assert f"usage error: {message}" in capsys.readouterr().err
+
+    def test_one_joint_clsdp_trains_evaluates_and_ranks(self, tmp_path):
+        code = run(
+            "synth", "--out", str(tmp_path), "--seed", "5", "--demos", "2",
+            "--dof", "1", "--samples", "60", "--rate", "100", "--features", "2",
+        )
+        assert code == 0
+        demos = [str(tmp_path / "demo_1.csv"), str(tmp_path / "demo_2.csv")]
+        prim = str(tmp_path / "clsdp.json")
+        assert run("train", "clsdp", *demos, "--out", prim, "--max-iters", "3") == 0
+        assert run("eval", prim, "--demos", *demos) == 0
+        assert run("rank", prim, *demos, "--grid", "10") == 0
 
     def test_eval_reports_all_policies(self, fixture_dir, trained, tmp_path, capsys):
         lsdp, dmp = trained

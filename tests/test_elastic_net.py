@@ -468,7 +468,7 @@ class TestPrune:
         W[2] = 0.0
         W2, params2 = prune(W, params)
         assert W2.shape == (4, 2)
-        np.testing.assert_array_equal(params2.mu, params.mu[[0, 1, 3, 4]])
+        np.testing.assert_array_equal(params2.mu, params.mu[:, [0, 1, 3, 4]])
 
     def test_matches_active_set_after_solve(self):
         prob = random_problem(N=20, p=5, m=2, seed=16)
@@ -486,8 +486,8 @@ class TestPrune:
         W = np.array([[1.0], [0.0], [2.0]])
         W2, params2 = prune(W, StackedRbfParams(per_dof=per_dof))
         assert params2.n_features == 2
-        for p in params2.per_dof:
-            np.testing.assert_array_equal(p.mu, [0.1, 0.9])
+        for mu in params2.mu:
+            np.testing.assert_array_equal(mu, [0.1, 0.9])
 
     def test_empty_model_error(self):
         params = RbfParams(mu=np.array([0.1]), sigma2=np.array([0.01]))

@@ -116,11 +116,10 @@ class TestFeatureObjective:
         params = obj.decode(theta)
         Phi, Acc = rbf.build_basis(t, params)
         f_oracle = np.sum((Y - Phi @ W) ** 2) + lam2 * np.sum((Acc @ W) ** 2)
-        per_dof = params.per_dof if n_blocks > 1 else [params]
         gmu, glogs = np.zeros((n_blocks, p)), np.zeros((n_blocks, p))
-        for b, block_params in enumerate(per_dof):
+        for b in range(n_blocks):
             dpm, dpl, dam, dal = rbf.basis_and_partials(
-                t, block_params.mu, block_params.sigma2)[2:]
+                t, params.mu[b], params.sigma2[b])[2:]
             R = Y[b * N:(b + 1) * N] - Phi[b * N:(b + 1) * N] @ W
             A = Acc[b * N:(b + 1) * N] @ W
             gmu[b] = -2 * np.sum((dpm.T @ R) * W, 1) + 2 * lam2 * np.sum((dam.T @ A) * W, 1)
@@ -167,8 +166,8 @@ class TestFeatureObjective:
             rng2.standard_normal((2, 1)), 0.0, n_dof_blocks=2,
         )
         stacked = stacked_obj.decode(random_theta(2, 2, rng2))
-        assert isinstance(stacked, StackedRbfParams)
-        assert stacked.n_dof == 2
+        assert isinstance(stacked, RbfParams)
+        assert stacked.n_blocks == 2
 
 
 def product_form_update(H, s, y):

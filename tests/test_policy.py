@@ -77,15 +77,8 @@ class TestPrimitiveRoundTrip:
             np.testing.assert_array_equal(back.W, prim.W)
             np.testing.assert_array_equal(back.intercepts, prim.intercepts)
             np.testing.assert_array_equal(back.t, prim.t)
-            if mode == "clsdp":
-                for a, b in zip(back.rbf_params.per_dof, prim.rbf_params.per_dof):
-                    np.testing.assert_array_equal(a.mu, b.mu)
-                    np.testing.assert_array_equal(a.sigma2, b.sigma2)
-            else:
-                np.testing.assert_array_equal(back.rbf_params.mu, prim.rbf_params.mu)
-                np.testing.assert_array_equal(
-                    back.rbf_params.sigma2, prim.rbf_params.sigma2
-                )
+            np.testing.assert_array_equal(back.rbf_params.mu, prim.rbf_params.mu)
+            np.testing.assert_array_equal(back.rbf_params.sigma2, prim.rbf_params.sigma2)
 
     def test_save_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -182,6 +175,14 @@ class TestBaselineRoundTrip:
         np.testing.assert_array_equal(back.t, model.t)
 
 
+def drop_last_dof(doc):
+    doc["centers"], doc["widths"] = doc["centers"][:-1], doc["widths"][:-1]
+
+
+def drop_a_feature_of_dof_1(doc):
+    doc["centers"][0], doc["widths"][0] = doc["centers"][0][:-1], doc["widths"][0][:-1]
+
+
 class TestSchemaGuards:
     def test_unsupported_schema_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -195,6 +196,27 @@ class TestSchemaGuards:
             json.dumps({"schema_version": policy.SCHEMA_VERSION, "method": "svm"})
         )
         with pytest.raises(ValueError, match="method"):
+            policy.load_policy(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (drop_last_dof, r"intercepts have shape \(2, 3\), expected \(1, 3\)"),
+        (drop_a_feature_of_dof_1, "inconsistent feature counts across DoFs"),
+    ])
+    def test_hand_edited_basis_rejected(self, tmp_path, edit, message):
+        prim = TrainedPrimitive(
+            mode="clsdp",
+            intercepts=np.zeros((2, 3)),
+            rbf_params=StackedRbfParams([RbfParams(mu=[0.1, 0.2], sigma2=[0.05, 0.05])] * 2),
+            W=np.ones((2, 3)),
+            t=np.arange(10) * 0.01,
+            metadata={"n_samples": 10},
+        )
+        path = tmp_path / "p.json"
+        policy.save_policy(path, prim)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
             policy.load_policy(path)
 
     def test_unserializable_object_rejected(self, tmp_path):

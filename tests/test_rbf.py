@@ -19,8 +19,13 @@ def eval_basis_accel(t, params):
 
 
 def eval_basis_param_grads(t, params):
-    """(dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2) of a flat parameter set."""
-    return basis_and_partials(t, params.mu, params.sigma2)[2:]
+    """(dPhi/dmu, dPhi/dlogs2, dAcc/dmu, dAcc/dlogs2) of a one-block parameter set."""
+    return basis_and_partials(t, params.mu[0], params.sigma2[0])[2:]
+
+
+def blocks(params):
+    """Each block of params as a one-block parameter set."""
+    return [RbfParams(mu=mu, sigma2=s2) for mu, s2 in zip(params.mu, params.sigma2)]
 
 
 def random_params(p=3, seed=0, lo=0.01, hi=0.5):
@@ -52,7 +57,7 @@ class TestRbfParams:
         params = random_params(p=5, seed=2)
         keep = np.array([0, 2, 4])
         sub = params.select(keep)
-        np.testing.assert_array_equal(sub.mu, params.mu[keep])
+        np.testing.assert_array_equal(sub.mu, params.mu[:, keep])
 
     def test_stacked_requires_common_p(self):
         a = random_params(p=3)
@@ -65,7 +70,7 @@ class TestRbfParams:
             per_dof=[random_params(p=3, seed=s) for s in range(2)]
         )
         back = round_trip(stacked, n_dof=2)
-        for orig, rec in zip(stacked.per_dof, back.per_dof):
+        for orig, rec in zip(blocks(stacked), blocks(back)):
             np.testing.assert_allclose(rec.mu, orig.mu)
             np.testing.assert_allclose(rec.sigma2, orig.sigma2, rtol=1e-14)
 
@@ -89,7 +94,7 @@ class TestEvalBasis:
         for i in range(5):
             for j in range(3):
                 expected = np.exp(
-                    -(t[i] - params.mu[j]) ** 2 / (2 * params.sigma2[j])
+                    -(t[i] - params.mu[0, j]) ** 2 / (2 * params.sigma2[0, j])
                 )
                 assert Phi[i, j] == pytest.approx(expected, rel=1e-14)
 
@@ -146,9 +151,9 @@ class TestParamGrads:
         h = 1e-6
         for j in range(3):
             mu_p = params.mu.copy()
-            mu_p[j] += h
+            mu_p[0, j] += h
             mu_m = params.mu.copy()
-            mu_m[j] -= h
+            mu_m[0, j] -= h
             up = RbfParams(mu=mu_p, sigma2=params.sigma2)
             dn = RbfParams(mu=mu_m, sigma2=params.sigma2)
             fd = (eval_basis(t, up) - eval_basis(t, dn))[:, j] / (2 * h)
@@ -156,11 +161,11 @@ class TestParamGrads:
             fd = (eval_basis_accel(t, up) - eval_basis_accel(t, dn))[:, j] / (2 * h)
             np.testing.assert_allclose(dam[:, j], fd, rtol=1e-5, atol=1e-4)
 
-            logs = np.log(params.sigma2[j])
+            logs = np.log(params.sigma2[0, j])
             s_up = params.sigma2.copy()
-            s_up[j] = np.exp(logs + h)
+            s_up[0, j] = np.exp(logs + h)
             s_dn = params.sigma2.copy()
-            s_dn[j] = np.exp(logs - h)
+            s_dn[0, j] = np.exp(logs - h)
             up = RbfParams(mu=params.mu, sigma2=s_up)
             dn = RbfParams(mu=params.mu, sigma2=s_dn)
             fd = (eval_basis(t, up) - eval_basis(t, dn))[:, j] / (2 * h)
@@ -174,7 +179,7 @@ class TestParamGrads:
         t = np.linspace(0, 1, 6)
         grads_before = eval_basis_param_grads(t, params)
         mu2 = params.mu.copy()
-        mu2[0] += 0.1
+        mu2[0, 0] += 0.1
         grads_after = eval_basis_param_grads(
             t, RbfParams(mu=mu2, sigma2=params.sigma2)
         )
@@ -244,7 +249,8 @@ class TestStackBasis:
         params = random_params(p=2, seed=11)
         t = np.linspace(0, 1, 5)
         flat = build_basis(t, params)
-        np.testing.assert_array_equal(flat[0], basis_and_partials(t, params.mu, params.sigma2)[0])
+        np.testing.assert_array_equal(
+            flat[0], basis_and_partials(t, params.mu[0], params.sigma2[0])[0])
         stacked = build_basis(t, StackedRbfParams(per_dof=[params, params]))
         assert stacked[0].shape == (10, 2)
 
@@ -270,12 +276,12 @@ class TestKernelProperties:
         t, stacked = case
         N = t.size
         Phi, Acc = build_basis(t, stacked)
-        assert Phi.shape == Acc.shape == (stacked.n_dof * N, stacked.n_features)
-        for i, params in enumerate(stacked.per_dof):
+        assert Phi.shape == Acc.shape == (stacked.n_blocks * N, stacked.n_features)
+        for i, params in enumerate(blocks(stacked)):
             Phi_i, Acc_i = build_basis(t, params)
             np.testing.assert_array_equal(Phi[N * i:N * (i + 1)], Phi_i)
             np.testing.assert_array_equal(Acc[N * i:N * (i + 1)], Acc_i)
-        first = stacked.per_dof[0]
+        first = blocks(stacked)[0]
         for single, flat in zip(build_basis(t, StackedRbfParams(per_dof=[first])),
                                 build_basis(t, first)):
             np.testing.assert_array_equal(single, flat)
@@ -296,5 +302,5 @@ class TestKernelProperties:
         t, stacked = case
         Phi = eval_basis(t, stacked)
         assert np.all(Phi > 0.0) and np.all(Phi <= 1.0)
-        for params in stacked.per_dof:
-            assert np.all(np.diagonal(eval_basis(params.mu, params)) == 1.0)
+        for params in blocks(stacked):
+            assert np.all(np.diagonal(eval_basis(params.mu[0], params)) == 1.0)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemp import elastic_net, rbf, trainers
+from sparsemp import elastic_net, policy, rbf, trainers
 from sparsemp.elastic_net import EmptyModelError
 from sparsemp.rbf import RbfParams, StackedRbfParams
 from sparsemp.trainers import (
@@ -184,10 +184,24 @@ class TestTrainClsdp:
         demos, _ = small_fixture
         prim = train_clsdp(demos, small_config())
         assert prim.mode == "clsdp"
-        assert isinstance(prim.rbf_params, StackedRbfParams)
-        assert prim.rbf_params.n_dof == demos.n_dof
+        assert isinstance(prim.rbf_params, RbfParams)
+        assert prim.rbf_params.n_blocks == demos.n_dof
         assert prim.W.shape[1] == demos.n_demos
         assert prim.intercepts.shape == (demos.n_dof, demos.n_demos)
+
+    def test_one_dof_evaluates_and_round_trips(self, tmp_path):
+        demos, _ = synth_demoset(
+            n_demos=2, n_dof=1, n_samples=80, dt=0.01, k_features=2,
+            noise=0.0, seed=12,
+        )
+        prim = train_clsdp(demos, small_config(max_outer_iters=3))
+        assert prim.rbf_params.n_blocks == prim.n_dof == 1
+        recon, report = evaluate(prim, prim.t, trainers.reference(demos))
+        assert recon.shape == (80, 1, 2) and np.isfinite(report.total_cost)
+        path = tmp_path / "clsdp.json"
+        policy.save_policy(path, prim)
+        back = policy.load_policy(path)
+        np.testing.assert_array_equal(reconstruct(back, back.t), reconstruct(prim, prim.t))
 
     def test_coupling_reduces_total_coefficients(self, small_fixture):
         demos, _ = small_fixture
