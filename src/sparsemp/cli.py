@@ -51,6 +51,7 @@ def cmd_synth(args) -> int:
     _require(args.samples >= 2, "--samples must be >= 2")
     _require(args.dof >= 1, "--dof must be >= 1")
     _require(args.features >= 1, "--features must be >= 1")
+    _require(args.seed >= 0, "--seed must be >= 0")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     dt = 1.0 / args.rate
@@ -228,14 +229,26 @@ def _train(args) -> int:
 
 # ---------------------------------------------------------------- rank
 
+def _model_data(model: trainers.TrainedPrimitive, demos: trajectory.DemoSet):
+    """The demos a trained primitive reads: all of them for cLSDP, which
+    must be as many as it couples, else the first; all on its time grid."""
+    if model.mode == "clsdp" and demos.n_demos != model.n_demos:
+        raise ValueError(
+            f"dimension mismatch on demos axis: policy couples "
+            f"{model.n_demos}, got {demos.n_demos}"
+        )
+    if demos.n_samples != model.t.size:
+        raise ValueError("dimension mismatch on time axis")
+    return demos if model.mode == "clsdp" else demos.demos[0]
+
+
 def cmd_rank(args) -> int:
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.ratio < 1.0, "--ratio must lie in (0, 1)")
     model = policy.load_policy(args.policy)
     if not isinstance(model, trainers.TrainedPrimitive):
         raise ValueError("ranking undefined for this method")
-    demos = _load_demos(args.demos)
-    _, Y, _, _ = trainers.training_data(demos if model.mode == "clsdp" else demos.demos[0])
+    _, Y, _, _ = trainers.training_data(_model_data(model, _load_demos(args.demos)))
     Phi, PhiAcc = build_basis(model.t, model.rbf_params)
     lam2 = model.metadata.get("lambda2", 0.0)
     prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)
@@ -263,14 +276,7 @@ def cmd_eval(args) -> int:
     for path in args.policies:
         model = policy.load_policy(path)
         if isinstance(model, trainers.TrainedPrimitive):
-            if model.mode == "clsdp" and len(demos.demos) != model.n_demos:
-                raise ValueError(
-                    f"dimension mismatch on demos axis: policy couples "
-                    f"{model.n_demos}, got {len(demos.demos)}"
-                )
-            reference = trainers.reference(demos if model.mode == "clsdp" else demos.demos[0])
-            if reference.shape[0] != model.t.size:
-                raise ValueError("dimension mismatch on time axis")
+            reference = trainers.reference(_model_data(model, demos))
             _, report = trainers.evaluate(model, model.t, reference)
             row = (model.mode, report.nnz, report.acc_norm, report.res_norm,
                    report.total_cost)

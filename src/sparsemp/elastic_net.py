@@ -37,6 +37,8 @@ from .rbf import RbfParams
 logger = logging.getLogger(__name__)
 
 TOL_PRUNE = 1e-10  # coefficient rows at or below this norm are pruned
+IRLS_MAX_STEPS = 100  # per irls_refine call
+NEWTON_MAX_STEPS = 8  # per newton_polish call
 
 
 class ConvergenceError(RuntimeError):
@@ -256,7 +258,7 @@ def solve(
         # Each row moves at most once per sweep: this is the max |delta|.
         return float(np.maximum.reduce(np.abs(W[idx] - W_old), axis=None))
 
-    def irls_refine(idx, G_ww, D_w, max_inner: int = 100) -> None:
+    def irls_refine(idx, G_ww, D_w) -> None:
         # Near-duplicate basis columns make plain coordinate descent crawl;
         # solving the smooth restricted problem on the current active rows by
         # iteratively reweighted least squares jumps straight to its optimum.
@@ -274,7 +276,7 @@ def solve(
         penalty = lambda1 * float(norms.sum())
         f = prob.energy - float(np.vdot(W_a, C_a + D_a)) + penalty
         steps = 0
-        while rows.size and steps < max_inner:
+        while rows.size and steps < IRLS_MAX_STEPS:
             steps += 1
             np.copyto(A, G_aa)
             A.reshape(-1)[:: rows.size + 1] += half_lam / norms
@@ -302,9 +304,9 @@ def solve(
                 A, penalty = np.empty_like(G_aa), lambda1 * float(norms.sum())
         W[rows] = W_a
         irls_calls, irls_steps = irls_calls + 1, irls_steps + steps
-        irls_capped += steps == max_inner
+        irls_capped += steps == IRLS_MAX_STEPS
 
-    def newton_polish(max_steps: int = 8) -> tuple[str, int]:
+    def newton_polish() -> tuple[str, int]:
         rows = np.flatnonzero(W.any(axis=1))
         if not rows.size:
             return "none", 0
@@ -312,7 +314,7 @@ def solve(
         D_a, norms = C_a - G_aa @ W_a, np.linalg.norm(W_a, axis=1)
         f_tol = 1e-15 * (1.0 + abs(prob.energy - float(np.vdot(W_a, C_a + D_a))
                                    + lambda1 * norms.sum()))
-        for steps in range(1, max_steps + 1):
+        for steps in range(1, NEWTON_MAX_STEPS + 1):
             grad, delta = _newton_step(G_aa, D_a, W_a, norms, lambda1)
             if delta is None:
                 return "rejected", steps
@@ -329,7 +331,7 @@ def solve(
             if decrement <= f_tol:
                 W[rows] = W_a
                 return "polished", steps
-        return "rejected", max_steps
+        return "rejected", NEWTON_MAX_STEPS
 
     def certified() -> tuple[str | None, float, float]:
         """Exit met ("kkt", "gap", "loose" or None), max KKT residual, gap.

@@ -13,10 +13,9 @@ in the package loads `scipy.optimize`.
 Each cost/gradient evaluation covers all DoF blocks with one batched kernel
 call (`rbf.basis_and_partials`) into a workspace that `FeatureObjective`
 allocates once, and contracts the parameter partials with the N x m
-residuals first, so no N x p product is formed. `FeatureObjective` keeps
-the last evaluated point, so the line search's separate cost and gradient
-requests at one trial point, and the re-evaluation at the accepted point,
-cost one kernel evaluation. The inverse Hessian is kept as the upper
+residuals first, so no N x p product is formed. The line search asks for
+cost and gradient together, once per trial point, and BFGS takes both at
+the accepted step from it. The inverse Hessian is kept as the upper
 triangle of a Fortran-ordered array and updated in place by the O(dim^2)
 BLAS rank-two form, so a BFGS iteration allocates nothing of size dim^2.
 """
@@ -49,7 +48,7 @@ class FeatureObjective:
     Y has one row block of N samples per basis block: a single block
     shared by all DoFs (tasks = DoF columns of Y), or one block per DoF
     (DoF-major row blocks, tasks = demonstrations). Y, W and lambda2 are
-    fixed for the object's life: the last evaluated point is cached.
+    fixed for the object's life.
     """
 
     def __init__(
@@ -74,9 +73,8 @@ class FeatureObjective:
                 f"{self.N * self.n_blocks}"
             )
         self.p = self.W.shape[0]
-        self._last: tuple[np.ndarray, float, np.ndarray] | None = None
         self._work = np.empty((6, self.n_blocks, self.N, self.p))
-        self.n_evals = 0  # kernel evaluations, i.e. cache misses
+        self.n_evals = 0  # kernel evaluations, one per cost_grad call
 
     @property
     def theta_size(self) -> int:
@@ -110,19 +108,11 @@ class FeatureObjective:
         np.maximum(out[n_mu:], LOG_S2_MIN, out=out[n_mu:])
         return out
 
-    def cost(self, theta: np.ndarray) -> float:
-        return self.cost_grad(theta)[0]
-
-    def grad(self, theta: np.ndarray) -> np.ndarray:
-        return self.cost_grad(theta)[1]
-
     def cost_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Cost and gradient at theta; repeated calls at the last point are free."""
+        """Cost and gradient at theta, from one kernel evaluation."""
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.theta_size:
             raise ValueError(f"theta size {theta.size}, expected {self.theta_size}")
-        if self._last is not None and np.array_equal(theta, self._last[0]):
-            return self._last[1], self._last[2].copy()
         self.n_evals += 1
         mus, s2 = self.split_theta(theta)
         nb, N, W, lam2 = self.n_blocks, self.N, self.W, self.lambda2
@@ -140,9 +130,7 @@ class FeatureObjective:
              - work[2:4].swapaxes(-1, -2) @ R)
         g = 2.0 * np.sum(G * W, axis=-1)
         g[1] *= floor_free
-        g = g.reshape(-1)
-        self._last = (theta.copy(), f, g)
-        return f, g.copy()
+        return f, g.reshape(-1)
 
 
 def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
@@ -163,12 +151,13 @@ def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
 
 
 def _wolfe_search(objective: FeatureObjective, x: np.ndarray, p: np.ndarray,
-                  f0: float, g0: np.ndarray) -> tuple[float | None, float | None]:
-    """Strong-Wolfe step along p from x: (alpha, phi(alpha)), or (None, None).
+                  f0: float, g0: np.ndarray):
+    """Strong-Wolfe step along p from x: (alpha, f, g) at the accepted step,
+    or (None, None, None).
 
-    phi(alpha) = objective.cost(x + alpha p) and phi'(alpha) =
-    objective.grad(x + alpha p) . p. This is Nocedal & Wright's Algorithm
-    3.5 (Numerical Optimization, 1999, pp. 59-61) as SciPy's
+    Each trial makes one `objective.cost_grad(x + alpha p)` call, which
+    gives phi(alpha) and phi'(alpha) = g . p. This is Nocedal & Wright's
+    Algorithm 3.5 (Numerical Optimization, 1999, pp. 59-61) as SciPy's
     `line_search_wolfe2` writes it, cut to the way `bfgs_minimize` calls
     it: c1 = WOLFE_C1, c2 = WOLFE_C2, first trial 1, no step bound. The
     trials, their order and their arithmetic are SciPy's, so the steps are
@@ -177,33 +166,30 @@ def _wolfe_search(objective: FeatureObjective, x: np.ndarray, p: np.ndarray,
     against a zero step is left out: doubled from 1, the step never is.
     """
     def phi(a):
-        return objective.cost(x + a * p)
-
-    def dphi(a):
-        return np.dot(objective.grad(x + a * p), p)
+        f, g = objective.cost_grad(x + a * p)
+        return f, np.dot(g, p), g
 
     dphi0 = np.dot(g0, p)
     a0, phi_a0, dphi_a0 = 0, f0, dphi0
     a1 = 1.0
-    phi_a1 = phi(a1)
+    phi_a1, dphi_a1, g1 = phi(a1)
     for i in range(50):
         if phi_a1 > f0 + WOLFE_C1 * a1 * dphi0 or (phi_a1 >= phi_a0 and i > 0):
-            return _zoom(phi, dphi, f0, dphi0, a0, a1, phi_a0, phi_a1, dphi_a0)
-        dphi_a1 = dphi(a1)
+            return _zoom(phi, f0, dphi0, a0, a1, phi_a0, phi_a1, dphi_a0)
         if abs(dphi_a1) <= -WOLFE_C2 * dphi0:
-            return a1, phi_a1
+            return a1, phi_a1, g1
         if dphi_a1 >= 0:
-            return _zoom(phi, dphi, f0, dphi0, a1, a0, phi_a1, phi_a0, dphi_a1)
+            return _zoom(phi, f0, dphi0, a1, a0, phi_a1, phi_a0, dphi_a1)
         a0, phi_a0, dphi_a0 = a1, phi_a1, dphi_a1
         a1 = 2 * a1
-        phi_a1 = phi(a1)
-    return a1, phi_a1
+        phi_a1, dphi_a1, g1 = phi(a1)
+    return a1, phi_a1, g1
 
 
-def _zoom(phi, dphi, f0, dphi0, a_lo, a_hi, phi_lo, phi_hi, dphi_lo):
+def _zoom(phi, f0, dphi0, a_lo, a_hi, phi_lo, phi_hi, dphi_lo):
     """Algorithm 3.6: shrink the bracket to a strong-Wolfe step, trying the
     cubic, then the quadratic interpolant, then bisection; gives up
-    (None, None) after 11 trials."""
+    (None, None, None) after 11 trials."""
     a_rec, phi_rec = 0, f0
     for i in range(11):
         dalpha = a_hi - a_lo
@@ -214,21 +200,20 @@ def _zoom(phi, dphi, f0, dphi0, a_lo, a_hi, phi_lo, phi_hi, dphi_lo):
             a_j = _quadmin(a_lo, phi_lo, dphi_lo, a_hi, phi_hi)
             if a_j is None or a_j > b - qchk or a_j < a + qchk:
                 a_j = a_lo + 0.5 * dalpha
-        phi_aj = phi(a_j)
+        phi_aj, dphi_aj, g_j = phi(a_j)
         if phi_aj > f0 + WOLFE_C1 * a_j * dphi0 or phi_aj >= phi_lo:
             a_rec, phi_rec = a_hi, phi_hi
             a_hi, phi_hi = a_j, phi_aj
             continue
-        dphi_aj = dphi(a_j)
         if abs(dphi_aj) <= -WOLFE_C2 * dphi0:
-            return a_j, phi_aj
+            return a_j, phi_aj, g_j
         if dphi_aj * (a_hi - a_lo) >= 0:
             a_rec, phi_rec = a_hi, phi_hi
             a_hi, phi_hi = a_lo, phi_lo
         else:
             a_rec, phi_rec = a_lo, phi_lo
         a_lo, phi_lo, dphi_lo = a_j, phi_aj, dphi_aj
-    return None, None
+    return None, None, None
 
 
 def _cubicmin(a, fa, fpa, b, fb, c, fc):
@@ -269,7 +254,8 @@ class BfgsResult:
     n_iters: int
     converged: bool
     line_search_failed: bool
-    n_evals: int  # kernel evaluations (objective cache misses) during the run
+    n_evals: int  # kernel evaluations during the run, the start point's included
+    start_cost: float  # the cost at theta0
 
 
 def bfgs_minimize(
@@ -286,8 +272,9 @@ def bfgs_minimize(
     iterate seen; a line-search failure ends the run with the best-so-far,
     flagged. The run converges when the gradient norm is at most
     GRAD_TOL_REL (1 + |f(theta0)|). `project` (if given) is applied to each
-    accepted iterate, e.g. `objective.clamp`. Emits one DEBUG record on the
-    `sparsemp.feature_opt` logger per call.
+    accepted iterate, e.g. `objective.clamp`; the cost and gradient there
+    are the line search's unless it moved the point. Emits one DEBUG record
+    on the `sparsemp.feature_opt` logger per call.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
@@ -316,18 +303,18 @@ def bfgs_minimize(
             # Safeguard: reset to steepest descent if H lost definiteness.
             H = None
             d = -g
-        alpha, _ = _wolfe_search(objective, theta, d, f, g)
+        alpha, f_new, g_new = _wolfe_search(objective, theta, d, f, g)
         if alpha is None:
             ls_failed = True
             break
         s = alpha * d
-        theta_new = theta + s
+        theta_new = theta + s  # the search's point, bit for bit
         if project is not None:
             projected = project(theta_new)
             if not np.array_equal(projected, theta_new):
                 theta_new = projected
                 s = theta_new - theta
-        f_new, g_new = objective.cost_grad(theta_new)
+                f_new, g_new = objective.cost_grad(theta_new)
         y = g_new - g
         ys = y @ s
         if ys > CURVATURE_EPS:
@@ -355,4 +342,5 @@ def bfgs_minimize(
         converged=bool(converged),
         line_search_failed=ls_failed,
         n_evals=n_evals,
+        start_cost=f0,
     )

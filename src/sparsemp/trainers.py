@@ -80,6 +80,8 @@ class TrainerConfig:
             raise ValueError("initial_p must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_outer_iters < 0:
             raise ValueError("max_outer_iters must be >= 0")
         if self.bfgs_max_iters is not None and self.bfgs_max_iters < 0:
@@ -249,11 +251,11 @@ def _fit(
     trace = record["trace"]
     for k in range(1, config.max_outer_iters + 1):
         objective = feature_opt.FeatureObjective(t, Y, W, lam2, n_blocks)
-        theta0 = objective.encode(params)
-        f_smooth0 = objective.cost(theta0)
         result = feature_opt.bfgs_minimize(
-            objective, theta0, max_iters=config.bfgs_max_iters, project=objective.clamp,
+            objective, objective.encode(params), max_iters=config.bfgs_max_iters,
+            project=objective.clamp,
         )
+        f_smooth0 = result.start_cost
         if config.check_invariants and result.cost > f_smooth0 + DESCENT_SLACK * (
             1.0 + abs(f_smooth0)
         ):

@@ -186,14 +186,14 @@ def test_criterion_03_gradient_fidelity():
             rng.uniform(0.1, 0.9, nb * p),           # centers
             np.log(rng.uniform(1e-2, 0.3, nb * p)),  # log squared widths
         ])
-        g = obj.grad(theta)
+        _, g = obj.cost_grad(theta)
         h = 1e-6
         g_fd = np.empty_like(g)
         for i in range(theta.size):
             plus, minus = theta.copy(), theta.copy()
             plus[i] += h
             minus[i] -= h
-            g_fd[i] = (obj.cost(plus) - obj.cost(minus)) / (2 * h)
+            g_fd[i] = (obj.cost_grad(plus)[0] - obj.cost_grad(minus)[0]) / (2 * h)
         rel = np.linalg.norm(g_fd - g) / max(1.0, np.linalg.norm(g))
         worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -102,6 +102,7 @@ class TestSegment:
     ("synth", "--samples", "1", "--samples must be >= 2"),
     ("synth", "--dof", "0", "--dof must be >= 1"),
     ("synth", "--features", "0", "--features must be >= 1"),
+    ("synth", "--seed", "-1", "--seed must be >= 0"),
     ("segment", "--window", "0", "--window must be positive"),
     ("segment", "--window", "-1", "--window must be positive"),
     ("segment", "--rate", "0", "--rate must be positive"),
@@ -125,6 +126,7 @@ TRAIN_FLAG_CASES = [
     ("lsdp", "--initial-p", "0", "initial_p must be >= 1"),
     ("lsdp", "--max-iters", "-1", "max_outer_iters must be >= 0"),
     ("lsdp", "--bfgs-iters", "-1", "bfgs_max_iters must be >= 0"),
+    ("lsdp", "--seed", "-1", "seed must be >= 0"),
     ("dmp", "--n-basis", "1", "--n-basis must be >= 2 for dmp"),
     ("dmp", "--n-basis", "0", "--n-basis must be >= 2 for dmp"),
     ("ridge", "--n-basis", "0", "--n-basis must be >= 1 for ridge"),
@@ -347,6 +349,19 @@ class TestRankEval:
         assert run("train", "clsdp", *demos, "--out", prim, "--max-iters", "3") == 0
         assert run("eval", prim, "--demos", *demos) == 0
         assert run("rank", prim, *demos, "--grid", "10") == 0
+
+    @pytest.mark.parametrize("command", ["rank", "eval"])
+    def test_clsdp_needs_as_many_demos_as_it_couples(
+        self, command, fixture_dir, tmp_path, capsys
+    ):
+        demos = [str(fixture_dir / "demo_1.csv"), str(fixture_dir / "demo_2.csv")]
+        prim = str(tmp_path / "clsdp.json")
+        assert run("train", "clsdp", *demos, "--out", prim, "--max-iters", "2") == 0
+        capsys.readouterr()
+        argv = [prim, demos[0]] if command == "rank" else [prim, "--demos", demos[0]]
+        assert run(command, *argv) == 1
+        assert "dimension mismatch on demos axis: policy couples 2, got 1" in (
+            capsys.readouterr().err)
 
     def test_eval_reports_all_policies(self, fixture_dir, trained, tmp_path, capsys):
         lsdp, dmp = trained

@@ -67,18 +67,18 @@ class TestFeatureObjective:
         expected = np.sum((obj.Y - Phi @ obj.W) ** 2) + obj.lambda2 * np.sum(
             (Acc @ obj.W) ** 2
         )
-        assert obj.cost(theta) == pytest.approx(expected, rel=1e-12)
+        assert obj.cost_grad(theta)[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gradient_matches_finite_differences(self, seed):
         obj, rng = flat_objective(seed=seed)
         theta = random_theta(3, 1, rng)
-        g = obj.grad(theta)
+        _, g = obj.cost_grad(theta)
         h = 1e-6
         for i in range(theta.size):
             e = np.zeros_like(theta)
             e[i] = h
-            fd = (obj.cost(theta + e) - obj.cost(theta - e)) / (2 * h)
+            fd = (obj.cost_grad(theta + e)[0] - obj.cost_grad(theta - e)[0]) / (2 * h)
             denom = max(1.0, abs(fd))
             assert abs(g[i] - fd) / denom <= 1e-5
 
@@ -91,12 +91,12 @@ class TestFeatureObjective:
         Y = rng.standard_normal((N * n_blocks, m))
         obj = FeatureObjective(t, Y, W, 1e-3, n_dof_blocks=n_blocks)
         theta = random_theta(p, n_blocks, rng)
-        g = obj.grad(theta)
+        _, g = obj.cost_grad(theta)
         h = 1e-6
         for i in range(theta.size):
             e = np.zeros_like(theta)
             e[i] = h
-            fd = (obj.cost(theta + e) - obj.cost(theta - e)) / (2 * h)
+            fd = (obj.cost_grad(theta + e)[0] - obj.cost_grad(theta - e)[0]) / (2 * h)
             denom = max(1.0, abs(fd))
             assert abs(g[i] - fd) / denom <= 1e-5
 
@@ -132,28 +132,23 @@ class TestFeatureObjective:
         np.testing.assert_allclose(g, g_oracle, rtol=1e-10, atol=1e-10 * np.abs(g_oracle).max())
         assert np.all(g[n_blocks * p:][floored] == 0.0)
 
-    def test_cached_point_never_stale(self):
+    def test_caller_owns_the_gradient(self):
         obj, rng = flat_objective(seed=2)
         theta = random_theta(3, 1, rng)
-        f0, g0 = obj.cost_grad(theta)
+        _, g0 = obj.cost_grad(theta)
         expected = g0.copy()
-        g0[:] = 0.0  # the caller owns what it is handed, fresh or cached
-        obj.grad(theta)[:] = 0.0
+        g0[:] = 0.0  # the caller owns what it is handed
         np.testing.assert_array_equal(obj.cost_grad(theta.copy())[1], expected)
-        theta[0] += 1e-3
-        fresh = FeatureObjective(obj.t, obj.Y, obj.W, obj.lambda2)
-        assert obj.cost(theta) == fresh.cost(theta) != f0
-        np.testing.assert_array_equal(obj.grad(theta), fresh.grad(theta))
 
     def test_handed_out_gradient_survives_later_evaluations(self):
         obj, rng = flat_objective(seed=3)
         theta = random_theta(3, 1, rng)
-        g = obj.grad(theta)
+        _, g = obj.cost_grad(theta)
         expected = g.copy()
         for _ in range(3):  # each new point refills the kernel workspace
             obj.cost_grad(random_theta(3, 1, rng))
         np.testing.assert_array_equal(g, expected)
-        np.testing.assert_array_equal(obj.grad(theta), expected)
+        np.testing.assert_array_equal(obj.cost_grad(theta)[1], expected)
 
     def test_decode_shapes(self):
         obj, rng = flat_objective()
@@ -234,52 +229,67 @@ class TestThetaLayout:
 
 
 class TrialLog:
-    """cost/grad pair that records each point it is asked about."""
+    """A cost_grad function that records each point it is asked about, as a
+    whole or, for SciPy's search, as a separate cost and gradient."""
 
-    def __init__(self, cost, grad):
-        self._cost, self._grad, self.trials = cost, grad, []
+    def __init__(self, cost_grad):
+        self._cost_grad, self.trials = cost_grad, []
+
+    def cost_grad(self, x):
+        self.trials.append(("cost", x.copy()))
+        return self._cost_grad(x)
 
     def cost(self, x):
-        self.trials.append(("cost", x.copy()))
-        return self._cost(x)
+        return self.cost_grad(x)[0]
 
     def grad(self, x):
         self.trials.append(("grad", x.copy()))
-        return self._grad(x)
+        return self._cost_grad(x)[1]
 
 
-def search_against_scipy(cost, grad, x, p):
-    """Runs the in-package search and SciPy's `line_search` as BFGS calls it,
-    asserts the same step, value and trial points bit for bit; returns the
-    step."""
-    f0, g0 = cost(x), grad(x)
-    ours, theirs = TrialLog(cost, grad), TrialLog(cost, grad)
+def search_against_scipy(cost_grad, x, p):
+    """Runs the in-package search and SciPy's `line_search` as BFGS calls it
+    and asserts, bit for bit: the same step and value; one evaluation at
+    each of SciPy's cost points, in its order; each SciPy gradient request
+    at the cost point just before it; and the gradient at the step. Returns
+    the step."""
+    f0, g0 = cost_grad(x)
+    ours, theirs = TrialLog(cost_grad), TrialLog(cost_grad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        alpha, phi = _wolfe_search(ours, x, p, f0, g0)
+        alpha, phi, g = _wolfe_search(ours, x, p, f0, g0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # SciPy warns where the search fails
         expected = line_search(theirs.cost, theirs.grad, x, p, gfk=g0, old_fval=f0,
                                c1=WOLFE_C1, c2=WOLFE_C2, maxiter=50)
     assert (alpha, phi) == (expected[0], expected[3])
-    assert [kind for kind, _ in ours.trials] == [kind for kind, _ in theirs.trials]
-    for (_, mine), (_, scipys) in zip(ours.trials, theirs.trials):
+    cost_points = [z for kind, z in theirs.trials if kind == "cost"]
+    assert len(ours.trials) == len(cost_points)
+    for (_, mine), scipys in zip(ours.trials, cost_points):
         np.testing.assert_array_equal(mine, scipys)
+    for i, (kind, z) in enumerate(theirs.trials):
+        if kind == "grad":
+            assert i > 0 and theirs.trials[i - 1][0] == "cost"
+            np.testing.assert_array_equal(z, theirs.trials[i - 1][1])
+    if alpha is None:
+        assert g is None
+    else:
+        np.testing.assert_array_equal(g, cost_grad(x + alpha * p)[1])
     return alpha
 
 
 def wolfe_branch_case(branch, rng):
-    """(cost, grad, x, p) of a bowl, a quartic or a ramp whose search
-    takes `branch`."""
+    """(cost_grad, x, p) of a bowl, a quartic or a ramp whose search takes
+    `branch`."""
     x = rng.uniform(0.5, 2.0, rng.integers(1, 6))
     if branch == "fifty_doublings":  # a linear cost never bends
-        return (lambda z: x @ z), (lambda z: x), x, -x
+        return (lambda z: (x @ z, x)), x, -x
     if branch == "zoom_bisects":  # the quadratic interpolant of a quartic overshoots
-        return (lambda z: 0.25 * np.sum(z ** 4)), (lambda z: z ** 3), 3 * x, -(3 * x) ** 3
+        return (lambda z: (0.25 * np.sum(z ** 4), z ** 3)), 3 * x, -(3 * x) ** 3
     curv = {"unit_step": 1.0, "doubling": 0.04, "zoom": 3.0, "zoom_fails": 3.0}[branch]
     if branch == "zoom_fails":  # a slope that never flattens leaves no Wolfe point
-        return (lambda z: 0.5 * curv * (z @ z)), (lambda z: x), x, -curv * x
-    return (lambda z: 0.5 * curv * (z @ z)), (lambda z: curv * z), x, -curv * x
+        return (lambda z: (0.5 * curv * (z @ z), x)), x, -curv * x
+    return (lambda z: (0.5 * curv * (z @ z), curv * z)), x, -curv * x
 
 
 # The step each branch case ends on.
@@ -302,14 +312,32 @@ class TestWolfeSearch:
         obj, rng = flat_objective(seed=seed % 1000)
         theta = random_theta(3, 1, np.random.default_rng(seed))
         scale = 10.0 ** log_scale * rng.uniform(0.1, 1.0, theta.size)
-        search_against_scipy(obj.cost, obj.grad, theta, -scale * obj.grad(theta))
+        search_against_scipy(obj.cost_grad, theta, -scale * obj.cost_grad(theta)[1])
 
     @pytest.mark.parametrize("branch", BRANCH_STEPS)
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_matches_scipy_on_each_branch(self, branch, seed):
-        cost, grad, x, p = wolfe_branch_case(branch, np.random.default_rng(seed))
-        assert BRANCH_STEPS[branch](search_against_scipy(cost, grad, x, p))
+        cost_grad, x, p = wolfe_branch_case(branch, np.random.default_rng(seed))
+        assert BRANCH_STEPS[branch](search_against_scipy(cost_grad, x, p))
+
+
+def uphill_objective(seed=0):
+    """(objective, theta0): theta0 fits the data up to noise, and the
+    objective hands out its gradient with the sign flipped. BFGS then steps
+    uphill, so its first line search finds no Wolfe point."""
+    obj, rng = flat_objective(seed=seed, lambda2=0.0)
+    theta0 = random_theta(3, 1, rng)
+    Y = eval_basis(obj.t, obj.decode(theta0)) @ obj.W + 0.1 * rng.standard_normal(obj.Y.shape)
+    obj = FeatureObjective(obj.t, Y, obj.W, 0.0)
+    cost_grad = obj.cost_grad
+
+    def flipped(theta):
+        f, g = cost_grad(theta)
+        return f, -g
+
+    obj.cost_grad = flipped
+    return obj, theta0
 
 
 class TestBfgsMinimize:
@@ -332,7 +360,7 @@ class TestBfgsMinimize:
         obj, rng = flat_objective(seed=4)
         theta0 = random_theta(3, 1, rng)
         result = bfgs_minimize(obj, theta0)
-        assert result.cost <= obj.cost(theta0) + 1e-12
+        assert result.cost <= obj.cost_grad(theta0)[0] + 1e-12
 
     def test_converged_flag_and_grad_tol(self):
         t = np.linspace(0, 1, 60)
@@ -342,7 +370,7 @@ class TestBfgsMinimize:
         obj = FeatureObjective(t, Y, W, 0.0)
         result = bfgs_minimize(obj, np.array([0.5, np.log(0.04)]))
         assert result.converged
-        f0 = obj.cost(np.array([0.5, np.log(0.04)]))
+        f0 = obj.cost_grad(np.array([0.5, np.log(0.04)]))[0]
         assert result.grad_norm <= 1e-6 * (1.0 + abs(f0)) + 1e-12
 
     def test_max_iters_respected(self):
@@ -367,15 +395,12 @@ class TestBfgsMinimize:
         assert 0.4 - 1e-12 <= result.theta[0] <= 0.9 + 1e-12
 
     def test_line_search_failure_flagged_without_warning(self):
-        obj, rng = flat_objective(seed=0)
-        theta0 = random_theta(3, 1, rng)
-        # a slope of the wrong sign leaves the line search no Wolfe point
-        obj.grad = lambda theta: -FeatureObjective.grad(obj, theta)
+        obj, theta0 = uphill_objective()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = bfgs_minimize(obj, theta0)
         assert result.line_search_failed and not result.converged
-        assert result.cost <= obj.cost(theta0)
+        assert result.cost <= obj.cost_grad(theta0)[0]
 
     def test_non_finite_start_rejected(self):
         obj, _ = flat_objective()
@@ -445,23 +470,22 @@ class TestBfgsPinned:
 class TestBfgsTelemetry:
     def test_n_evals_counts_kernel_calls(self, monkeypatch):
         obj, theta0 = pinned_problem()
-        obj.cost(theta0)  # the start point is then a cache hit
         calls = count_kernel_calls(monkeypatch)
         result = bfgs_minimize(obj, theta0, max_iters=10)
-        assert result.n_evals == len(calls) == obj.n_evals - 1
-        assert result.n_evals >= result.n_iters
+        assert result.n_evals == len(calls) == obj.n_evals
+        assert result.n_evals > result.n_iters  # the start point counts
+        assert result.start_cost == obj.cost_grad(theta0)[0]
 
     def test_one_record_per_call_names_the_exit(self, caplog):
         t = np.linspace(0, 1, 60)
         true = RbfParams(mu=np.array([0.45]), sigma2=np.array([0.03]))
         W = np.array([[1.3]])
         obj = FeatureObjective(t, eval_basis(t, true) @ W, W, 0.0)
-        bad, rng = flat_objective(seed=0)
-        bad.grad = lambda theta: -FeatureObjective.grad(bad, theta)
+        bad, bad_theta0 = uphill_objective()
         runs = [
             (obj, np.array([0.5, np.log(0.04)]), None, "converged"),
             (obj, np.array([0.55, np.log(0.05)]), 2, "max_iters"),
-            (bad, random_theta(3, 1, rng), None, "line_search"),
+            (bad, bad_theta0, None, "line_search"),
         ]
         for objective, theta0, max_iters, exit_kind in runs:
             caplog.clear()

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemp import elastic_net, policy, rbf, trainers
+from sparsemp import elastic_net, feature_opt, policy, rbf, trainers
 from sparsemp.elastic_net import EmptyModelError
 from sparsemp.rbf import RbfParams, StackedRbfParams
 from sparsemp.trainers import (
@@ -39,6 +39,10 @@ class TestTrainerConfig:
             TrainerConfig(initial_p=0)
         with pytest.raises(ValueError):
             TrainerConfig(restarts=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainerConfig(seed=-1)
 
     @pytest.mark.parametrize("field", ["max_outer_iters", "bfgs_max_iters"])
     def test_negative_iteration_budget_rejected(self, field):
@@ -202,6 +206,20 @@ class TestTrainClsdp:
         policy.save_policy(path, prim)
         back = policy.load_policy(path)
         np.testing.assert_array_equal(reconstruct(back, back.t), reconstruct(prim, prim.t))
+
+    def test_trace_counts_every_kernel_evaluation(self, small_fixture, monkeypatch):
+        calls = []
+        kernel = feature_opt.basis_and_partials
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(feature_opt, "basis_and_partials", counting)
+        demos, _ = small_fixture
+        prim = train_clsdp(demos, small_config(max_outer_iters=3, bfgs_max_iters=10))
+        trace = prim.metadata["trace"]
+        assert trace and len(calls) == sum(row["bfgs_evals"] for row in trace)
 
     def test_coupling_reduces_total_coefficients(self, small_fixture):
         demos, _ = small_fixture
