@@ -197,8 +197,8 @@ def _train(args) -> int:
         if method == "dmp":
             model = baselines.train_dmp(demo, n_basis=args.n_basis)
         else:
-            lam2 = 1e-4 if args.lambda2 is None else args.lambda2
-            model = baselines.train_ridge(demo, n_basis=args.n_basis, lambda2=lam2)
+            penalty = {} if args.lambda2 is None else {"lambda2": args.lambda2}
+            model = baselines.train_ridge(demo, n_basis=args.n_basis, **penalty)
         nnz, acc, res, _ = _baseline_metrics(model, demo)
         policy.save_policy(args.out, model)
         print(f"method={method} nnz={nnz} acc_norm={_fmt(acc)} res_norm={_fmt(res)}")
@@ -338,11 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--lambda1", type=float, default=None)
     p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--epsilon", type=float, default=TrainerConfig.epsilon)
+    p.add_argument("--max-iters", type=int, default=TrainerConfig.max_outer_iters)
     p.add_argument("--bfgs-iters", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=TrainerConfig.restarts)
+    p.add_argument("--seed", type=int, default=TrainerConfig.seed)
     p.add_argument("--cv-folds", type=int, default=None)
     p.add_argument("--n-basis", type=int, default=10)
     p.add_argument("--initial-p", type=int, default=None)

@@ -97,8 +97,6 @@ def to_lasso(
     if lambda2 < 0:
         raise ValueError("lambda2 must be nonnegative")
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    if y.shape[0] == 1 and phi.shape[0] > 1:
-        y = y.T
     if phi.shape != phi_acc.shape or phi.shape[0] != y.shape[0]:
         raise ValueError(
             f"incompatible shapes: Phi {phi.shape}, PhiAcc {phi_acc.shape}, Y {y.shape}"

@@ -262,19 +262,18 @@ def bfgs_minimize(
     objective: FeatureObjective,
     theta0: np.ndarray,
     max_iters: int | None = None,
-    project=None,
 ) -> BfgsResult:
     """Dense BFGS with a strong-Wolfe line search.
 
     The search is `_wolfe_search`, which takes the steps SciPy's
     `line_search_wolfe2` takes with c1 = WOLFE_C1, c2 = WOLFE_C2 and
-    maxiter = 50, so no run loads `scipy.optimize`. Returns the best
-    iterate seen; a line-search failure ends the run with the best-so-far,
-    flagged. The run converges when the gradient norm is at most
-    GRAD_TOL_REL (1 + |f(theta0)|). `project` (if given) is applied to each
-    accepted iterate, e.g. `objective.clamp`; the cost and gradient there
-    are the line search's unless it moved the point. Emits one DEBUG record
-    on the `sparsemp.feature_opt` logger per call.
+    maxiter = 50, so no run loads `scipy.optimize`. Each accepted iterate
+    is projected with `objective.clamp`; the cost and gradient there are
+    the line search's unless the clamp moved the point. Returns the best
+    iterate seen, so the cost is never above the start cost; a line-search
+    failure ends the run with the best-so-far, flagged. The run converges
+    when the gradient norm is at most GRAD_TOL_REL (1 + |f(theta0)|).
+    Emits one DEBUG record on the `sparsemp.feature_opt` logger per call.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
@@ -309,12 +308,11 @@ def bfgs_minimize(
             break
         s = alpha * d
         theta_new = theta + s  # the search's point, bit for bit
-        if project is not None:
-            projected = project(theta_new)
-            if not np.array_equal(projected, theta_new):
-                theta_new = projected
-                s = theta_new - theta
-                f_new, g_new = objective.cost_grad(theta_new)
+        projected = objective.clamp(theta_new)
+        if not np.array_equal(projected, theta_new):
+            theta_new = projected
+            s = theta_new - theta
+            f_new, g_new = objective.cost_grad(theta_new)
         y = g_new - g
         ys = y @ s
         if ys > CURVATURE_EPS:

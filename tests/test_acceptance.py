@@ -9,7 +9,6 @@ PASS/FAIL line with its headline numbers.
 """
 
 import time
-from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -27,6 +26,8 @@ from sparsemp.trainers import (
     train_lsdp,
 )
 from sparsemp.trajectory import center, synth_demoset
+
+from brute_force import brute_force_objective
 
 SEED = 42
 N_SAMPLES = 500
@@ -105,32 +106,6 @@ def random_instance(rng):
     y = rng.standard_normal((n, m))
     lambda2 = float(rng.uniform(0, 0.5))
     return to_lasso(phi, acc, y, lambda2)
-
-
-def brute_force_objective(prob: AugmentedProblem, lambda1: float) -> float:
-    """Enumerate supports; solve each by fixed-point iteration to 1e-10."""
-    phi, y = prob.phi_a, prob.y_a
-    p = prob.n_features
-    best = float(np.sum(y ** 2))
-    for S in chain.from_iterable(
-        combinations(range(p), k) for k in range(1, p + 1)
-    ):
-        S = list(S)
-        phi_s = phi[:, S]
-        W_s, *_ = np.linalg.lstsq(phi_s, y, rcond=None)
-        for _ in range(10_000):
-            norms = np.maximum(np.linalg.norm(W_s, axis=1), 1e-14)
-            A = phi_s.T @ phi_s + np.diag(lambda1 / (2.0 * norms))
-            W_new = np.linalg.solve(A, phi_s.T @ y)
-            if np.max(np.abs(W_new - W_s)) <= 1e-10:
-                W_s = W_new
-                break
-            W_s = W_new
-        resid = y - phi_s @ W_s
-        f = float(np.sum(resid ** 2)
-                  + lambda1 * np.sum(np.linalg.norm(W_s, axis=1)))
-        best = min(best, f)
-    return best
 
 
 def test_criterion_01_elastic_net_matches_oracle():

@@ -380,19 +380,38 @@ class TestBfgsMinimize:
         assert result.n_iters <= 2
 
     def test_projection_applied(self):
+        # Data from a center at 3 s on a [0, 1] s window pull a center out
+        # of the box [-1, 2] s: one projected step stops it at the bound.
         t = np.linspace(0, 1, 40)
-        true = RbfParams(mu=np.array([0.2]), sigma2=np.array([0.02]))
+        true = RbfParams(mu=np.array([3.0]), sigma2=np.array([0.1]))
         W = np.array([[1.0]])
         Y = eval_basis(t, true) @ W
         obj = FeatureObjective(t, Y, W, 0.0)
+        result = bfgs_minimize(obj, np.array([1.5, np.log(0.1)]))
+        assert result.theta[0] == 2.0
+        assert result.n_iters == 1
 
-        def clamp(theta):
-            out = theta.copy()
-            out[0] = np.clip(out[0], 0.4, 0.9)
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_never_above_start_cost_while_the_box_binds(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 4))
+        t = np.linspace(0, 1, 30)
+        true = RbfParams(mu=rng.uniform(2.5, 4.0, p), sigma2=rng.uniform(0.2, 1.0, p))
+        W = rng.standard_normal((p, 2))
+        obj = FeatureObjective(t, eval_basis(t, true) @ W, W, 1e-4)
+        theta0 = np.concatenate([rng.uniform(1.2, 1.9, p), np.log(true.sigma2[0])])
+        moved, clamp = [], obj.clamp
+
+        def recording_clamp(theta):
+            out = clamp(theta)
+            moved.append(not np.array_equal(out, theta))
             return out
 
-        result = bfgs_minimize(obj, np.array([0.8, np.log(0.05)]), project=clamp)
-        assert 0.4 - 1e-12 <= result.theta[0] <= 0.9 + 1e-12
+        obj.clamp = recording_clamp
+        result = bfgs_minimize(obj, theta0, max_iters=50)
+        assert any(moved)
+        assert result.cost <= result.start_cost
 
     def test_line_search_failure_flagged_without_warning(self):
         obj, theta0 = uphill_objective()
@@ -418,11 +437,14 @@ class TestBfgsMinimize:
         assert result.cost == pytest.approx(np.sum(Y ** 2))
 
 
-def pinned_problem():
-    """Three DoF blocks of 12 features fitted from perturbed true parameters."""
+def pinned_problem(t_end=1.0):
+    """Three DoF blocks of 12 features fitted from perturbed true parameters.
+
+    The true centers lie in [0, 1] s; a window shorter than that lets the
+    clamp bind."""
     rng = np.random.default_rng(2024)
     N, p, nb, m = 50, 12, 3, 2
-    t = np.linspace(0, 1, N)
+    t = np.linspace(0, t_end, N)
     true = StackedRbfParams(per_dof=[
         RbfParams(mu=np.sort(rng.uniform(0, 1, p)), sigma2=rng.uniform(0.003, 0.02, p))
         for _ in range(nb)])
@@ -430,12 +452,6 @@ def pinned_problem():
     Y = rbf.build_basis(t, true)[0] @ W + 0.01 * rng.standard_normal((N * nb, m))
     obj = FeatureObjective(t, Y, W, 1e-4, n_dof_blocks=nb)
     return obj, obj.encode(true) + 0.05 * rng.standard_normal(2 * nb * p)
-
-
-def clamp_centers(theta):
-    out = theta.copy()
-    np.clip(out[:36], 0.1, 0.9, out=out[:36])
-    return out
 
 
 def count_kernel_calls(monkeypatch):
@@ -453,14 +469,14 @@ def count_kernel_calls(monkeypatch):
 class TestBfgsPinned:
     """Outcomes recorded before the BLAS update and the workspace kernel."""
 
-    @pytest.mark.parametrize("project, cost, kernel_calls", [
-        (None, 72.94154473533207, 52),
-        (clamp_centers, 72.58042215941768, 62),
+    @pytest.mark.parametrize("t_end, cost, kernel_calls", [
+        (1.0, 72.94154473533207, 52),    # the clamp never moves an iterate
+        (0.6, 117.26778224417254, 97),   # the clamp moves 32 of the 40
     ])
-    def test_forty_iterations(self, project, cost, kernel_calls, monkeypatch):
-        obj, theta0 = pinned_problem()
+    def test_forty_iterations(self, t_end, cost, kernel_calls, monkeypatch):
+        obj, theta0 = pinned_problem(t_end)
         calls = count_kernel_calls(monkeypatch)
-        result = bfgs_minimize(obj, theta0, max_iters=40, project=project)
+        result = bfgs_minimize(obj, theta0, max_iters=40)
         assert result.cost == pytest.approx(cost, rel=1e-9)
         assert result.n_iters == 40
         assert not result.converged and not result.line_search_failed

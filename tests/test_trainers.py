@@ -49,6 +49,11 @@ class TestTrainerConfig:
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
             TrainerConfig(**{field: -1})
 
+    def test_descent_check_has_no_switch(self):
+        assert TrainerConfig().check_invariants is True
+        with pytest.raises(TypeError):
+            TrainerConfig(check_invariants=False)
+
 
 class TestScalePenalties:
     def test_unchanged_when_residual_constant(self):
@@ -169,6 +174,38 @@ class TestTrainLsdp:
             assert isinstance(row["bfgs_line_search_failed"], bool)
             assert isinstance(row["bfgs_evals"], int)
             assert row["bfgs_evals"] >= row["bfgs_iters"]
+
+
+class TestTrainingError:
+    """A failed elastic-net step names the outer iteration it failed in."""
+
+    @staticmethod
+    def patch_warm_solve(monkeypatch, warm_solve):
+        """Let the initial (cold) regression solve; replace every warm one."""
+        solve = elastic_net.solve
+
+        def patched(prob, lambda1, warm_start=None, **kwargs):
+            if warm_start is None:
+                return solve(prob, lambda1, **kwargs)
+            return warm_solve(warm_start)
+
+        monkeypatch.setattr(trainers.elastic_net, "solve", patched)
+
+    def test_cost_increase(self, small_fixture, monkeypatch):
+        self.patch_warm_solve(monkeypatch, np.zeros_like)
+        with pytest.raises(trainers.TrainingError,
+                           match="iteration 1: elastic net increased the cost"):
+            train_lsdp(small_fixture[0].demos[0], small_config(bfgs_max_iters=2))
+
+    def test_solver_convergence_failure(self, small_fixture, monkeypatch):
+        def fail(W):
+            raise elastic_net.ConvergenceError(
+                "coordinate descent did not converge in 1 sweeps", W=W, kkt=1.0)
+
+        self.patch_warm_solve(monkeypatch, fail)
+        with pytest.raises(trainers.TrainingError,
+                           match="iteration 1: coordinate descent did not converge"):
+            train_lsdp(small_fixture[0].demos[0], small_config(bfgs_max_iters=2))
 
 
 class TestTrainClsdp:
