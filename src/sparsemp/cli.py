@@ -17,6 +17,9 @@ from . import baselines, elastic_net, policy, reg_path, trainers, trajectory
 from .rbf import build_basis
 from .trainers import TrainerConfig
 
+# The (lambda1, lambda2) pairs `train --cv-folds` chooses among.
+CV_GRID = [(l1, l2) for l1 in np.geomspace(1e-3, 1.0, 5) for l2 in (1e-6, 1e-3)]
+
 
 def _fmt(x: float) -> str:
     return f"{x:.4g}"
@@ -150,24 +153,6 @@ def _trainer_config(args) -> TrainerConfig:
         raise _UsageError(str(err)) from err
 
 
-def _baseline_metrics(model, demo) -> tuple[int, float, float, float]:
-    """nnz, acc_norm, res_norm and total cost of a DMP or ridge baseline;
-    a DMP residual is taken over the common prefix of rollout and demo."""
-    if isinstance(model, baselines.DmpModel):
-        roll = baselines.rollout_dmp(model)
-        n = min(demo.n_samples, roll.Q.shape[0])
-        res = float(np.linalg.norm(demo.Q[:n] - roll.Q[:n]))
-        acc = float(np.linalg.norm(
-            np.gradient(np.gradient(roll.Q, roll.dt, axis=0), roll.dt, axis=0)
-        ))
-        total = res ** 2
-    else:
-        res = float(np.linalg.norm(demo.Q - baselines.ridge_reconstruct(model)))
-        acc = baselines.ridge_acc_norm(model)
-        total = res ** 2 + model.lambda2 * acc ** 2
-    return model.params_per_dof() * model.n_dof, acc, res, total
-
-
 def cmd_train(args) -> int:
     if not args.verbose:
         return _train(args)
@@ -192,55 +177,72 @@ def _train(args) -> int:
         least = 2 if method == "dmp" else 1
         _require(args.n_basis >= least, f"--n-basis must be >= {least} for {method}")
     demos = _load_demos(args.demos)
-    if method in ("dmp", "ridge"):
-        demo = demos.demos[0]
-        if method == "dmp":
-            model = baselines.train_dmp(demo, n_basis=args.n_basis)
-        else:
-            penalty = {} if args.lambda2 is None else {"lambda2": args.lambda2}
-            model = baselines.train_ridge(demo, n_basis=args.n_basis, **penalty)
-        nnz, acc, res, _ = _baseline_metrics(model, demo)
-        policy.save_policy(args.out, model)
-        print(f"method={method} nnz={nnz} acc_norm={_fmt(acc)} res_norm={_fmt(res)}")
-        print(f"params per DoF: {model.params_per_dof()}")
-        return 0
-
     data = demos if method == "clsdp" else demos.demos[0]
-    if args.cv_folds is not None:
-        lam_grid = [
-            (l1, l2)
-            for l1 in np.geomspace(1e-3, 1.0, 5)
-            for l2 in (1e-6, 1e-3)
-        ]
-        lam1, lam2 = trainers.select_penalties_cv(data, lam_grid, args.cv_folds, config)
-        config.lambda1, config.lambda2 = lam1, lam2
-    if method == "lsdp":
-        prim = trainers.train_lsdp(data, config)
+    if method == "dmp":
+        model = baselines.train_dmp(data, n_basis=args.n_basis)
+    elif method == "ridge":
+        penalty = {} if args.lambda2 is None else {"lambda2": args.lambda2}
+        model = baselines.train_ridge(data, n_basis=args.n_basis, **penalty)
     else:
-        prim = trainers.train_clsdp(data, config)
-    _, report = trainers.evaluate(prim, prim.t, trainers.reference(data))
-    policy.save_policy(args.out, prim)
-    print(
-        f"method={method} nnz={report.nnz} acc_norm={_fmt(report.acc_norm)} "
-        f"res_norm={_fmt(report.res_norm)}"
-    )
+        if args.cv_folds is not None:
+            config.lambda1, config.lambda2 = trainers.select_penalties_cv(
+                data, CV_GRID, args.cv_folds, config)
+        train = trainers.train_lsdp if method == "lsdp" else trainers.train_clsdp
+        model = train(data, config)
+    _, nnz, acc, res, _ = _policy_metrics(model, demos)
+    policy.save_policy(args.out, model)
+    print(f"method={method} nnz={nnz} acc_norm={_fmt(acc)} res_norm={_fmt(res)}")
+    if method in ("dmp", "ridge"):
+        print(f"params per DoF: {model.params_per_dof()}")
     return 0
 
 
-# ---------------------------------------------------------------- rank
+# ---------------------------------------------------------------- policies on demos
 
-def _model_data(model: trainers.TrainedPrimitive, demos: trajectory.DemoSet):
-    """The demos a trained primitive reads: all of them for cLSDP, which
-    must be as many as it couples, else the first; all on its time grid."""
-    if model.mode == "clsdp" and demos.n_demos != model.n_demos:
+def _model_data(model, demos: trajectory.DemoSet):
+    """The demos a policy reads, checked against its shape: all of them for
+    a cLSDP primitive, which must be as many as it couples, else the first.
+    Every policy must have their DoF count, and all but a DMP their time grid."""
+    coupled = isinstance(model, trainers.TrainedPrimitive) and model.mode == "clsdp"
+    if coupled and demos.n_demos != model.n_demos:
         raise ValueError(
             f"dimension mismatch on demos axis: policy couples "
             f"{model.n_demos}, got {demos.n_demos}"
         )
-    if demos.n_samples != model.t.size:
+    if not isinstance(model, baselines.DmpModel) and demos.n_samples != model.t.size:
         raise ValueError("dimension mismatch on time axis")
-    return demos if model.mode == "clsdp" else demos.demos[0]
+    if demos.n_dof != model.n_dof:
+        raise ValueError(
+            f"dimension mismatch on DoF axis: policy has {model.n_dof}, got {demos.n_dof}"
+        )
+    return demos if coupled else demos.demos[0]
 
+
+def _policy_metrics(model, demos: trajectory.DemoSet) -> tuple[str, int, float, float, float]:
+    """The row `eval` prints for any policy on its demos: method, nnz,
+    acc_norm, res_norm and total cost. A baseline counts its parameters as
+    nnz; a DMP residual is taken over the common prefix of rollout and demo,
+    and its total cost is the squared residual."""
+    data = _model_data(model, demos)
+    if isinstance(model, trainers.TrainedPrimitive):
+        _, report = trainers.evaluate(model, model.t, trainers.reference(data))
+        return model.mode, report.nnz, report.acc_norm, report.res_norm, report.total_cost
+    if isinstance(model, baselines.DmpModel):
+        roll = baselines.rollout_dmp(model)
+        n = min(data.n_samples, roll.Q.shape[0])
+        res = float(np.linalg.norm(data.Q[:n] - roll.Q[:n]))
+        acc = float(np.linalg.norm(
+            np.gradient(np.gradient(roll.Q, roll.dt, axis=0), roll.dt, axis=0)
+        ))
+        method, total = "dmp", res ** 2
+    else:
+        res = float(np.linalg.norm(data.Q - baselines.ridge_reconstruct(model)))
+        acc = baselines.ridge_acc_norm(model)
+        method, total = "ridge", res ** 2 + model.lambda2 * acc ** 2
+    return method, model.params_per_dof() * model.n_dof, acc, res, total
+
+
+# ---------------------------------------------------------------- rank
 
 def cmd_rank(args) -> int:
     _require(args.grid >= 2, "--grid must be >= 2")
@@ -274,15 +276,7 @@ def cmd_eval(args) -> int:
     demos = _load_demos(args.demos)
     lines = ["method,nnz,acc_norm,res_norm,total_cost"]
     for path in args.policies:
-        model = policy.load_policy(path)
-        if isinstance(model, trainers.TrainedPrimitive):
-            reference = trainers.reference(_model_data(model, demos))
-            _, report = trainers.evaluate(model, model.t, reference)
-            row = (model.mode, report.nnz, report.acc_norm, report.res_norm,
-                   report.total_cost)
-        else:
-            method = "dmp" if isinstance(model, baselines.DmpModel) else "ridge"
-            row = (method, *_baseline_metrics(model, demos.demos[0]))
+        row = _policy_metrics(policy.load_policy(path), demos)
         lines.append(
             f"{row[0]},{row[1]},{_fmt(row[2])},{_fmt(row[3])},{_fmt(row[4])}"
         )

@@ -234,7 +234,7 @@ def _fit(
         else config.lambda1_fraction * lam_max0
     )
     lam2 = config.lambda2 if config.lambda2 is not None else 1e-6 * lam1
-    record.update(lambda1_init=lam1, lambda2_init=lam2)
+    record.update(lambda1=lam1, lambda2=lam2, lambda1_init=lam1, lambda2_init=lam2)
     floor1 = PENALTY_FLOOR_FACTOR * lam1
     floor2 = PENALTY_FLOOR_FACTOR * lam2
 
@@ -293,6 +293,7 @@ def _fit(
         logger.debug(ITERATION_RECORD, trace[-1])
         converged = abs(f_k - f_prev) < config.epsilon
 
+        record.update(lambda1=lam1, lambda2=lam2)  # the penalties W was fit with
         lam1, lam2 = scale_penalties(lam1, lam2, r_k, max(r_prev, np.finfo(float).tiny),
                                      floor1, floor2)
         try:
@@ -304,8 +305,7 @@ def _fit(
         if converged:
             break
 
-    record.update(final_cost=f_prev, res_norm=r_prev, n_outer_iters=len(trace),
-                  lambda1=lam1, lambda2=lam2)
+    record.update(final_cost=f_prev, res_norm=r_prev, n_outer_iters=len(trace))
     return params, W, record
 
 
@@ -313,6 +313,10 @@ def _train(mode: str, data: JointTrajectory | DemoSet,
            config: TrainerConfig | None) -> TrainedPrimitive:
     """Run the loop from the initial centers, then from `config.restarts - 1`
     jittered copies of them, and keep the cheapest run."""
+    expected = DemoSet if mode == "clsdp" else JointTrajectory
+    if not isinstance(data, expected):
+        raise TypeError(f"train_{mode} expects a {expected.__name__}, "
+                        f"got a {type(data).__name__}")
     config = config or TrainerConfig()
     t, Y, intercepts, n_blocks = training_data(data)
     mu0 = _initial_centers(t, config)

@@ -128,10 +128,6 @@ class StackedData:
                 f"expected {self.n_samples * self.n_dof}"
             )
 
-    @property
-    def n_demos(self) -> int:
-        return self.Y.shape[1]
-
 
 def center(traj: JointTrajectory) -> CenteredData:
     """Remove per-joint means; the means become the intercepts."""
@@ -146,21 +142,16 @@ def center_stacked(stacked: StackedData) -> tuple[np.ndarray, StackedData]:
     reconstruction is exact per demonstration.
     """
     N, n = stacked.n_samples, stacked.n_dof
-    intercepts = np.empty((n, stacked.n_demos))
-    centered = stacked.Y.copy()
-    for i in range(n):
-        block = slice(N * i, N * (i + 1))
-        intercepts[i] = centered[block].mean(axis=0)
-        centered[block] -= intercepts[i]
+    blocks = stacked.Y.reshape(n, N, -1)
+    intercepts = blocks.mean(axis=1)
+    centered = (blocks - intercepts[:, None, :]).reshape(N * n, -1)
     return intercepts, StackedData(Y=centered, n_samples=N, n_dof=n)
 
 
 def stack_demoset(demos: DemoSet) -> StackedData:
     """Stack demonstrations DoF-major into an (N*n) x d matrix."""
     N, n = demos.n_samples, demos.n_dof
-    Y = np.empty((N * n, demos.n_demos))
-    for j, demo in enumerate(demos.demos):
-        Y[:, j] = demo.Q.T.reshape(-1)
+    Y = np.stack([demo.Q.T for demo in demos.demos], axis=-1).reshape(N * n, -1)
     return StackedData(Y=Y, n_samples=N, n_dof=n)
 
 
@@ -233,10 +224,6 @@ class PlantedModel:
     intercepts: np.ndarray         # (n, d)
     noise: float
     seed: int
-
-    @property
-    def n_features(self) -> int:
-        return self.centers.shape[0]
 
 
 def synth_demoset(

@@ -52,6 +52,11 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
+def _margin(value: float, bound: float, unit: str = "") -> str:
+    """`value` against its upper `bound`, with the headroom as a share of the bound."""
+    return f"{value:.3g}{unit} <= {bound:.3g}{unit} (margin {1.0 - value / bound:.1%})"
+
+
 def fixture_geometry():
     rng = np.random.default_rng(SEED)
     centers = np.linspace(0.5, 4.5, K) + rng.uniform(-0.1, 0.1, K)
@@ -124,8 +129,8 @@ def test_criterion_01_elastic_net_matches_oracle():
     elapsed = time.perf_counter() - start
     ok = worst_gap <= 1e-6 and worst_kkt <= 10 * tol and elapsed < 10.0
     _report(1, "elastic net vs brute force", ok,
-            f"max objective gap {worst_gap:.2e}, max KKT {worst_kkt:.2e}, "
-            f"{elapsed:.1f}s")
+            f"max objective gap {_margin(worst_gap, 1e-6)}, "
+            f"max KKT {_margin(worst_kkt, 10 * tol)}, {_margin(elapsed, 10.0, ' s')}")
 
 
 def test_criterion_02_lambda_max_closure():
@@ -174,7 +179,7 @@ def test_criterion_03_gradient_fidelity():
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-5 and elapsed < 30.0
     _report(3, "analytic vs finite-difference gradient", ok,
-            f"max relative error {worst:.2e}, {elapsed:.1f}s")
+            f"max relative error {_margin(worst, 1e-5)}, {_margin(elapsed, 30.0, ' s')}")
 
 
 def _trace_monotone(model: TrainedPrimitive) -> tuple[bool, bool]:
@@ -217,8 +222,9 @@ def test_criterion_05_sparse_recovery(fixture_sets, recovery_models):
     ok = (rms_clean <= 1e-3 and p_clean <= 2 * K
           and rms_noisy <= 0.015 and p_noisy <= 2 * K)
     _report(5, "sparse recovery", ok,
-            f"noise-free rms {rms_clean:.2e} rad with {p_clean} features, "
-            f"noisy rms {rms_noisy:.2e} rad with {p_noisy} features")
+            f"noise-free rms {_margin(rms_clean, 1e-3, ' rad')} with "
+            f"{_margin(p_clean, 2 * K)} features, noisy rms "
+            f"{_margin(rms_noisy, 0.015, ' rad')} with {_margin(p_noisy, 2 * K)} features")
 
 
 def test_criterion_06_coupling_economy(lsdp_noisy_models, clsdp_noisy_model):
@@ -279,8 +285,9 @@ def test_criterion_08_baseline_orderings(fixture_sets, lsdp_noisy_models,
                 and acc_ridge > acc_lsdp and acc_ridge > acc_clsdp)
     ok = ordering and params_ok and goal_err <= 1e-2
     _report(8, "baseline orderings", ok,
-            f"acc dmp {acc_dmp:.1f} > ridge {acc_ridge:.1f} > "
-            f"lsdp {acc_lsdp:.1f} / clsdp {acc_clsdp:.1f}, "
+            f"acc dmp {acc_dmp:.1f} > ridge {acc_ridge:.1f} (margin "
+            f"{1.0 - acc_ridge / acc_dmp:.1%}) > lsdp {acc_lsdp:.1f} / clsdp "
+            f"{acc_clsdp:.1f} (margin {1.0 - max(acc_lsdp, acc_clsdp) / acc_ridge:.1%}), "
             f"11 params per DoF: {params_ok}, goal error {goal_err:.1e} rad")
 
 

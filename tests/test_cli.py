@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsemp import policy, trainers
+from sparsemp import cli, policy, trainers
 from sparsemp.cli import main
 from sparsemp.trajectory import (
     JointTrajectory,
@@ -120,6 +120,12 @@ def test_synth_and_segment_out_of_range_flag_is_usage_error(
     assert not out.exists()
 
 
+def test_unknown_method_is_a_parser_error(tmp_path, capsys):
+    code = run("train", "pca", str(tmp_path / "demo.csv"), "--out", str(tmp_path / "p.json"))
+    assert code == 2
+    assert "invalid choice: 'pca'" in capsys.readouterr().err
+
+
 TRAIN_FLAG_CASES = [
     ("lsdp", "--restarts", "0", "restarts must be >= 1"),
     ("lsdp", "--epsilon", "-1", "epsilon must be positive"),
@@ -215,6 +221,14 @@ class TestTrain:
         )
         assert code == 2
         assert "usage error: demo 1 starts at t=5" in capsys.readouterr().err
+
+    def test_cv_folds_pick_the_initial_penalties_from_the_grid(self, fixture_dir, tmp_path):
+        out = tmp_path / "lsdp.json"
+        code = run("train", "lsdp", str(fixture_dir / "demo_1.csv"), "--out", str(out),
+                   "--cv-folds", "3", "--max-iters", "2", "--initial-p", "20")
+        assert code == 0
+        md = policy.load_policy(out).metadata
+        assert (md["lambda1_init"], md["lambda2_init"]) in cli.CV_GRID
 
     def test_dmp_reports_params_per_dof(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "dmp.json"
@@ -376,6 +390,31 @@ class TestRankEval:
         assert lines[0] == "method,nnz,acc_norm,res_norm,total_cost"
         assert lines[1].startswith("lsdp,")
         assert lines[2].startswith("dmp,")
+
+    @pytest.mark.parametrize("method, demo, message", [
+        ("ridge", "wide", "dimension mismatch on DoF axis: policy has 2, got 3"),
+        ("dmp", "wide", "dimension mismatch on DoF axis: policy has 2, got 3"),
+        ("ridge", "short", "dimension mismatch on time axis"),
+        ("lsdp", "short", "dimension mismatch on time axis"),
+        ("dmp", "short", None),  # a DMP's residual covers the common prefix
+    ])
+    def test_eval_checks_every_policy_against_its_demos(
+        self, method, demo, message, fixture_dir, tmp_path, capsys
+    ):
+        source = load_trajectory_csv(fixture_dir / "demo_1.csv")
+        other = (JointTrajectory(t=source.t, Q=np.column_stack([source.Q, source.Q[:, 0]]))
+                 if demo == "wide" else JointTrajectory(t=source.t[:40], Q=source.Q[:40]))
+        save_trajectory_csv(tmp_path / "other.csv", other)
+        prim = str(tmp_path / f"{method}.json")
+        assert run("train", method, str(fixture_dir / "demo_1.csv"), "--out", prim,
+                   "--max-iters", "2") == 0
+        capsys.readouterr()
+        code = run("eval", prim, "--demos", str(tmp_path / "other.csv"))
+        if message is None:
+            assert code == 0 and capsys.readouterr().out.splitlines()[1].startswith("dmp,")
+        else:
+            assert code == 1
+            assert f"error: {message}\n" == capsys.readouterr().err
 
     def test_eval_missing_policy_fails(self, fixture_dir, tmp_path):
         code = run(

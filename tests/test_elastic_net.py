@@ -177,6 +177,15 @@ class TestSolve:
         assert err.value.W.shape == (5, 2)
         assert err.value.kkt > 0
 
+    def test_zero_sweep_budget_certifies_the_start_as_it_is(self):
+        prob = random_problem(N=20, p=5, m=2, seed=11)
+        lam_max = lambda_max(prob)
+        for factor in (1.0, 2.0):
+            W = solve(prob, factor * lam_max, max_sweeps=0)
+            assert W.shape == (5, 2) and not W.any()
+        with pytest.raises(ConvergenceError, match="in 0 sweeps"):
+            solve(prob, 0.5 * lam_max, max_sweeps=0)
+
 
 def one_center_per_sample(shift: float = 0.0, dead: int | None = None) -> AugmentedProblem:
     """40 samples, one centre per sample at width^2 0.1: near-duplicate

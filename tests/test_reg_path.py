@@ -85,6 +85,14 @@ class TestComputePath:
         with pytest.raises(ValueError):
             compute_path(prob, ratio=1.5)
 
+    def test_failed_solve_names_its_lambda(self):
+        # no sweep budget: lambda_max's zero certifies as it is, the next
+        # grid point cannot
+        prob = random_problem()
+        second = np.geomspace(lambda_max(prob), 1e-3 * lambda_max(prob), 10)[1]
+        with pytest.raises(RuntimeError, match=f"path solve failed at lambda={second:.6g}"):
+            compute_path(prob, n_lambdas=10, max_sweeps=0)
+
     def test_warm_starts_save_sweeps(self):
         # A sweep budget the warm-started path traverses within, but that a
         # solve from zero at some grid point exhausts.

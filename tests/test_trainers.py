@@ -39,6 +39,8 @@ class TestTrainerConfig:
             TrainerConfig(initial_p=0)
         with pytest.raises(ValueError):
             TrainerConfig(restarts=0)
+        with pytest.raises(ValueError, match="lambda1_fraction must be positive"):
+            TrainerConfig(lambda1_fraction=0.0)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
@@ -157,6 +159,20 @@ class TestTrainLsdp:
         with pytest.raises(EmptyModelError, match="initial regression"):
             train_lsdp(demo, small_config(lambda1=2.0 * lam_max))
 
+    def test_pruned_to_empty_names_the_iteration(self, small_fixture, monkeypatch):
+        prune, calls = elastic_net.prune, []
+
+        def prune_empty_at_second_call(W, params):
+            calls.append(1)
+            if len(calls) == 2:
+                raise EmptyModelError("empty model: all features pruned")
+            return prune(W, params)
+
+        monkeypatch.setattr(trainers.elastic_net, "prune", prune_empty_at_second_call)
+        with pytest.raises(EmptyModelError,
+                           match=r"all features pruned \(iteration 1\)"):
+            train_lsdp(small_fixture[0].demos[0], small_config(bfgs_max_iters=2))
+
     def test_metadata_fields(self, small_fixture):
         demos, _ = small_fixture
         demo = demos.demos[0]
@@ -174,6 +190,60 @@ class TestTrainLsdp:
             assert isinstance(row["bfgs_line_search_failed"], bool)
             assert isinstance(row["bfgs_evals"], int)
             assert row["bfgs_evals"] >= row["bfgs_iters"]
+
+
+class TestFitPenalties:
+    """A policy records the penalties its coefficients were fit with."""
+
+    @pytest.mark.parametrize("mode", ["lsdp", "clsdp"])
+    @pytest.mark.parametrize("iters", [0, 1, 6])
+    def test_total_cost_on_its_demos_is_its_final_cost(self, noisy_fixture, mode, iters):
+        demos, _ = noisy_fixture
+        data = demos if mode == "clsdp" else demos.demos[0]
+        train = train_clsdp if mode == "clsdp" else train_lsdp
+        config = TrainerConfig(max_outer_iters=iters, bfgs_max_iters=20, initial_p=30)
+        prim = train(data, config)
+        md, trace = prim.metadata, prim.metadata["trace"]
+        assert bool(trace) == bool(iters)
+        assert md["lambda1"] == (trace[-1]["lambda1"] if trace else md["lambda1_init"])
+        _, report = evaluate(prim, prim.t, trainers.reference(data))
+        assert report.total_cost == pytest.approx(md["final_cost"], rel=1e-12)
+
+
+class TestDataType:
+    @pytest.mark.parametrize("mode, expected, given_type", [
+        ("lsdp", "JointTrajectory", "DemoSet"), ("clsdp", "DemoSet", "JointTrajectory"),
+    ])
+    def test_wrong_data_type_rejected_before_training(
+        self, small_fixture, monkeypatch, mode, expected, given_type
+    ):
+        def fit(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(trainers, "_fit", fit)
+        demos, _ = small_fixture
+        train, data = ((train_lsdp, demos) if mode == "lsdp"
+                       else (train_clsdp, demos.demos[0]))
+        with pytest.raises(TypeError,
+                           match=f"train_{mode} expects a {expected}, got a {given_type}"):
+            train(data, small_config())
+
+
+class TestRestarts:
+    def test_two_restarts_never_cost_more_and_repeat_byte_for_byte(
+        self, noisy_fixture, tmp_path
+    ):
+        demo = noisy_fixture[0].demos[0]
+        config = dict(max_outer_iters=3, bfgs_max_iters=10, initial_p=30, seed=4)
+        single = train_lsdp(demo, TrainerConfig(**config))
+        paths = [tmp_path / "first.json", tmp_path / "second.json"]
+        for path in paths:
+            policy.save_policy(path, train_lsdp(demo, TrainerConfig(restarts=2, **config)))
+        # run 0 of every restart set is the unjittered single run
+        best = policy.load_policy(paths[0])
+        assert best.metadata["final_cost"] <= single.metadata["final_cost"]
+        assert best.metadata["restarts"] == 2
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestTrainingError:
@@ -287,6 +357,14 @@ class TestReconstructEvaluate:
         assert report.res_norm == pytest.approx(direct, abs=1e-12)
         assert report.nnz == np.count_nonzero(prim.W)
 
+    def test_reference_of_another_shape_rejected(self, small_fixture):
+        demos, _ = small_fixture
+        demo = demos.demos[0]
+        prim = train_lsdp(demo, small_config(max_outer_iters=0))
+        with pytest.raises(ValueError, match=r"reference shape \(120, 2\) does not match "
+                                             r"reconstruction \(120, 3\)"):
+            evaluate(prim, demo.t, demo.Q[:, :2])
+
     def test_zero_coefficient_primitive(self):
         t = np.arange(50) * 0.01
         params = RbfParams(mu=np.array([0.2]), sigma2=np.array([0.05]))
@@ -350,3 +428,7 @@ class TestSelectPenaltiesCv:
             select_penalties_cv(demos.demos[0], [(1.0, 0.0)], folds=1)
         with pytest.raises(ValueError, match="grid"):
             select_penalties_cv(demos.demos[0], [], folds=3)
+        # 5 samples in 3 folds: the first fold holds a single sample
+        short = JointTrajectory(t=demos.demos[0].t[:5], Q=demos.demos[0].Q[:5])
+        with pytest.raises(ValueError, match="degenerate fold: fewer than 2 samples"):
+            select_penalties_cv(short, [(1.0, 0.0)], folds=3)

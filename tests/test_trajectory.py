@@ -141,6 +141,24 @@ class TestStacking:
             rec = centered.Y[block] + intercepts[i]
             np.testing.assert_allclose(rec, stacked.Y[block], atol=1e-12)
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(1, 5), st.integers(1, 7), st.integers(2, 299), st.integers(0, 2**32 - 1))
+    def test_array_forms_equal_the_per_column_and_per_block_loops(self, d, n, N, seed):
+        demos = DemoSet(demos=[make_traj(N=N, n=n, seed=seed + j) for j in range(d)])
+        Y = np.empty((N * n, d))
+        for j, demo in enumerate(demos.demos):
+            Y[:, j] = demo.Q.T.reshape(-1)
+        intercepts, centered = np.empty((n, d)), Y.copy()
+        for i in range(n):
+            block = slice(N * i, N * (i + 1))
+            intercepts[i] = centered[block].mean(axis=0)
+            centered[block] -= intercepts[i]
+        stacked = stack_demoset(demos)
+        np.testing.assert_array_equal(stacked.Y, Y)
+        got_intercepts, got = center_stacked(stacked)
+        np.testing.assert_array_equal(got_intercepts, intercepts)
+        np.testing.assert_array_equal(got.Y, centered)
+
 
 class TestSegmentation:
     @staticmethod
