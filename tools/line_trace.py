@@ -1,6 +1,6 @@
 """Statements of the package that nothing executes, found by a line trace.
 
-    python3 tools/line_trace.py --seed 42 --seed 11 [--workload NAME] [--pytest ARG ...]
+    python3 tools/line_trace.py --seed 42 --seed 11 [--pytest ARG ...]
 
 For every workload of bench/workloads.py and every seed, builds the round's
 instances untraced, then runs the workload's op on each instance under
@@ -105,14 +105,13 @@ class PytestPlugin:
         self.tracer.__exit__()
 
 
-def trace_workloads(tracer: LineTracer, names: list[str] | None, seeds: list[int]) -> None:
+def trace_workloads(tracer: LineTracer, seeds: list[int]) -> None:
     """Each workload's op on each instance of each seed's round, traced."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import workloads
 
     with tempfile.TemporaryDirectory() as scratch:
-        for name in names or list(workloads.WORKLOADS):
-            workload = workloads.WORKLOADS[name]
+        for name, workload in workloads.WORKLOADS.items():
             for seed in seeds:
                 instances = workload.build(seed)
                 with tracer:
@@ -125,15 +124,13 @@ def trace_workloads(tracer: LineTracer, names: list[str] | None, seeds: list[int
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, action="append", help="repeatable; default 42")
-    parser.add_argument("--workload", action="append",
-                        help="repeatable; default: every workload of bench/workloads.py")
     parser.add_argument("--pytest", nargs=argparse.REMAINDER, metavar="ARG", default=None,
                         help="last option: also trace a pytest run with the arguments "
                              "that follow (default -q tests)")
     args = parser.parse_args(argv)
 
     tracer = LineTracer(PACKAGE)
-    trace_workloads(tracer, args.workload, args.seed or [42])
+    trace_workloads(tracer, args.seed or [42])
     if args.pytest is not None:
         import pytest
 
