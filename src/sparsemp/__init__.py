@@ -1,6 +1,6 @@
 """Sparse RBF movement primitives learned from demonstrations."""
 
-from .baselines import DmpModel, RidgeModel, rollout_dmp, train_dmp, train_ridge
+from .baselines import DmpModel, rollout_dmp, train_dmp, train_ridge
 from .elastic_net import (
     AugmentedProblem,
     ConvergenceError,

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rbf import RbfParams, build_basis, eval_basis
+from .rbf import RbfParams, build_basis
+from .trainers import TrainedPrimitive, training_data
 from .trajectory import JointTrajectory
 
 ALPHA_Z = 25.0  # DMP gain; beta_z = ALPHA_Z / 4 (critical damping), alpha_x = ALPHA_Z / 3
@@ -42,29 +43,6 @@ class DmpModel:
 
     def params_per_dof(self) -> int:
         # forcing weights plus the goal position
-        return self.n_basis + 1
-
-
-@dataclass
-class RidgeModel:
-    """Fixed uniform time-domain basis with dense per-DoF coefficients."""
-
-    rbf_params: RbfParams
-    W: np.ndarray              # n_basis x n
-    intercepts: np.ndarray     # (n,)
-    lambda2: float
-    t: np.ndarray
-
-    @property
-    def n_dof(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def n_basis(self) -> int:
-        return self.W.shape[0]
-
-    def params_per_dof(self) -> int:
-        # basis weights plus the intercept
         return self.n_basis + 1
 
 
@@ -168,29 +146,20 @@ def uniform_ridge_basis(duration: float, n_basis: int = 10) -> RbfParams:
 
 def train_ridge(
     demo: JointTrajectory, n_basis: int = 10, lambda2: float = 1e-4
-) -> RidgeModel:
-    """Closed-form fit of (Phi^T Phi + lambda2 Acc^T Acc) W = Phi^T Y."""
+) -> TrainedPrimitive:
+    """Closed-form fit of (Phi^T Phi + lambda2 Acc^T Acc) W = Phi^T Y: a
+    one-block primitive of mode "ridge", with no l1 term."""
     if lambda2 < 0:
         raise ValueError("lambda2 must be nonnegative")
+    t, Yc, intercepts, _ = training_data(demo)
     params = uniform_ridge_basis(demo.duration, n_basis)
-    t = demo.t - demo.t[0]
     Phi, Acc = build_basis(t, params)
-    intercepts = demo.Q.mean(axis=0)
-    Yc = demo.Q - intercepts
 
     A = Phi.T @ Phi + lambda2 * (Acc.T @ Acc)
     if lambda2 == 0.0 and np.linalg.matrix_rank(Phi) < n_basis:
         raise np.linalg.LinAlgError("singular normal matrix: rank-deficient basis")
     W = np.linalg.solve(A, Phi.T @ Yc)
-    return RidgeModel(
-        rbf_params=params, W=W, intercepts=intercepts, lambda2=lambda2, t=t.copy()
+    return TrainedPrimitive(
+        mode="ridge", intercepts=intercepts, rbf_params=params, W=W, t=t,
+        metadata={"n_samples": demo.n_samples, "lambda1": 0.0, "lambda2": float(lambda2)},
     )
-
-
-def ridge_reconstruct(model: RidgeModel, t: np.ndarray | None = None) -> np.ndarray:
-    t = model.t if t is None else np.asarray(t, float)
-    return eval_basis(t, model.rbf_params) @ model.W + model.intercepts
-
-
-def ridge_acc_norm(model: RidgeModel) -> float:
-    return float(np.linalg.norm(build_basis(model.t, model.rbf_params)[1] @ model.W))

@@ -192,8 +192,8 @@ def _train(args) -> int:
     _, nnz, acc, res, _ = _policy_metrics(model, demos)
     policy.save_policy(args.out, model)
     print(f"method={method} nnz={nnz} acc_norm={_fmt(acc)} res_norm={_fmt(res)}")
-    if method in ("dmp", "ridge"):
-        print(f"params per DoF: {model.params_per_dof()}")
+    if method in ("dmp", "ridge"):  # a baseline's nnz counts its parameters
+        print(f"params per DoF: {nnz // model.n_dof}")
     return 0
 
 
@@ -221,25 +221,22 @@ def _model_data(model, demos: trajectory.DemoSet):
 def _policy_metrics(model, demos: trajectory.DemoSet) -> tuple[str, int, float, float, float]:
     """The row `eval` prints for any policy on its demos: method, nnz,
     acc_norm, res_norm and total cost. A baseline counts its parameters as
-    nnz; a DMP residual is taken over the common prefix of rollout and demo,
-    and its total cost is the squared residual."""
+    nnz: a ridge policy its p weights and intercept per DoF. A DMP residual
+    is taken over the common prefix of rollout and demo, and its total cost
+    is the squared residual."""
     data = _model_data(model, demos)
     if isinstance(model, trainers.TrainedPrimitive):
         _, report = trainers.evaluate(model, model.t, trainers.reference(data))
-        return model.mode, report.nnz, report.acc_norm, report.res_norm, report.total_cost
-    if isinstance(model, baselines.DmpModel):
-        roll = baselines.rollout_dmp(model)
-        n = min(data.n_samples, roll.Q.shape[0])
-        res = float(np.linalg.norm(data.Q[:n] - roll.Q[:n]))
-        acc = float(np.linalg.norm(
-            np.gradient(np.gradient(roll.Q, roll.dt, axis=0), roll.dt, axis=0)
-        ))
-        method, total = "dmp", res ** 2
-    else:
-        res = float(np.linalg.norm(data.Q - baselines.ridge_reconstruct(model)))
-        acc = baselines.ridge_acc_norm(model)
-        method, total = "ridge", res ** 2 + model.lambda2 * acc ** 2
-    return method, model.params_per_dof() * model.n_dof, acc, res, total
+        nnz = ((model.rbf_params.n_features + 1) * model.n_dof if model.mode == "ridge"
+               else report.nnz)
+        return model.mode, nnz, report.acc_norm, report.res_norm, report.total_cost
+    roll = baselines.rollout_dmp(model)
+    n = min(data.n_samples, roll.Q.shape[0])
+    res = float(np.linalg.norm(data.Q[:n] - roll.Q[:n]))
+    acc = float(np.linalg.norm(
+        np.gradient(np.gradient(roll.Q, roll.dt, axis=0), roll.dt, axis=0)
+    ))
+    return "dmp", model.params_per_dof() * model.n_dof, acc, res, res ** 2
 
 
 # ---------------------------------------------------------------- rank
@@ -248,7 +245,7 @@ def cmd_rank(args) -> int:
     _require(args.grid >= 2, "--grid must be >= 2")
     _require(0.0 < args.ratio < 1.0, "--ratio must lie in (0, 1)")
     model = policy.load_policy(args.policy)
-    if not isinstance(model, trainers.TrainedPrimitive):
+    if not isinstance(model, trainers.TrainedPrimitive) or model.mode == "ridge":
         raise ValueError("ranking undefined for this method")
     _, Y, _, _ = trainers.training_data(_model_data(model, _load_demos(args.demos)))
     Phi, PhiAcc = build_basis(model.t, model.rbf_params)
@@ -266,7 +263,7 @@ def cmd_rank(args) -> int:
             fh.write("lambda,feature_index,row_norm\n")
             for li, lam in enumerate(path.lambdas):
                 for j in range(norms.shape[1]):
-                    fh.write(f"{lam!r},{j},{norms[li, j]!r}\n")
+                    fh.write(f"{float(lam)!r},{j},{float(norms[li, j])!r}\n")
     return 0
 
 

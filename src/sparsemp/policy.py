@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .baselines import DmpModel, RidgeModel
+from .baselines import DmpModel
 from .rbf import RbfParams
 from .trainers import TrainedPrimitive
 
@@ -41,9 +41,9 @@ def _coef_from_block(block: dict) -> np.ndarray:
 
 
 def primitive_to_dict(prim: TrainedPrimitive, ground_truth: bool = False) -> dict:
-    # lsdp writes its one shared basis block as flat lists, clsdp one list per DoF.
+    # One shared basis block is written as flat lists, clsdp's one list per DoF.
     centers, widths = prim.rbf_params.mu, prim.rbf_params.sigma2
-    if prim.mode == "lsdp":
+    if prim.mode != "clsdp":
         centers, widths = centers[0], widths[0]
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -70,8 +70,6 @@ def _jsonable(obj):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     return obj
 
 
@@ -85,7 +83,9 @@ def _basis(doc: dict) -> RbfParams:
 
 
 def primitive_from_dict(doc: dict) -> TrainedPrimitive:
-    meta = doc["metadata"]
+    # Ridge files of the older layout keep n_samples and lambda2 at top level.
+    meta = doc["metadata"] if "metadata" in doc else {
+        "n_samples": doc["n_samples"], "lambda1": 0.0, "lambda2": doc["lambda2"]}
     return TrainedPrimitive(
         mode=doc["method"],
         intercepts=np.array(doc["intercepts"]),
@@ -131,40 +131,11 @@ def dmp_from_dict(doc: dict) -> DmpModel:
     )
 
 
-def ridge_to_dict(model: RidgeModel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "method": "ridge",
-        "dt": float(model.t[1] - model.t[0]),
-        "duration": float(model.t[-1] - model.t[0]),
-        "n": int(model.n_dof),
-        "d": 1,
-        "n_samples": int(model.t.size),
-        "intercepts": _floats(model.intercepts),
-        "centers": _floats(model.rbf_params.mu[0]),
-        "widths": _floats(model.rbf_params.sigma2[0]),
-        "coefficients": _coef_block(model.W),
-        "lambda2": float(model.lambda2),
-    }
-
-
-def ridge_from_dict(doc: dict) -> RidgeModel:
-    return RidgeModel(
-        rbf_params=_basis(doc),
-        W=_coef_from_block(doc["coefficients"]),
-        intercepts=np.array(doc["intercepts"]),
-        lambda2=doc["lambda2"],
-        t=np.arange(int(doc["n_samples"])) * doc["dt"],
-    )
-
-
 def save_policy(path, model, ground_truth: bool = False) -> None:
     if isinstance(model, TrainedPrimitive):
         doc = primitive_to_dict(model, ground_truth=ground_truth)
     elif isinstance(model, DmpModel):
         doc = dmp_to_dict(model)
-    elif isinstance(model, RidgeModel):
-        doc = ridge_to_dict(model)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w") as fh:
@@ -178,10 +149,8 @@ def load_policy(path):
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
     method = doc["method"]
-    if method in ("lsdp", "clsdp"):
+    if method in ("lsdp", "clsdp", "ridge"):
         return primitive_from_dict(doc)
     if method == "dmp":
         return dmp_from_dict(doc)
-    if method == "ridge":
-        return ridge_from_dict(doc)
     raise ValueError(f"unknown method tag {method!r}")

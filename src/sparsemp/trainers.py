@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import elastic_net, feature_opt, rbf, trajectory
-from .elastic_net import AugmentedProblem, EmptyModelError
+from .elastic_net import EmptyModelError
 from .rbf import RbfParams
 from .trajectory import DemoSet, JointTrajectory
 
@@ -95,10 +95,10 @@ class TrainerConfig:
 class TrainedPrimitive:
     """The exported policy: intercepts + basis parameters + coefficients."""
 
-    mode: str                              # "lsdp" or "clsdp"
-    intercepts: np.ndarray                 # (n,) or (n, d)
-    rbf_params: RbfParams                  # 1 block (lsdp) or n blocks (clsdp)
-    W: np.ndarray                          # p x n (lsdp) or p x d (clsdp)
+    mode: str                              # "lsdp", "clsdp" or "ridge"
+    intercepts: np.ndarray                 # (n,), or (n, d) for clsdp
+    rbf_params: RbfParams                  # 1 block, or n blocks for clsdp
+    W: np.ndarray                          # p x n, or p x d for clsdp
     t: np.ndarray
     metadata: dict = field(default_factory=dict)
 
@@ -106,9 +106,9 @@ class TrainedPrimitive:
         n_blocks, n_tasks = self.rbf_params.n_blocks, self.W.shape[1]
         if self.W.shape[0] != self.rbf_params.n_features:
             raise ValueError("coefficient rows and feature count disagree")
-        if self.mode == "lsdp" and n_blocks != 1:
-            raise ValueError(f"lsdp shares one basis block, got {n_blocks}")
-        expected = (n_tasks,) if self.mode == "lsdp" else (n_blocks, n_tasks)
+        if self.mode != "clsdp" and n_blocks != 1:
+            raise ValueError(f"{self.mode} shares one basis block, got {n_blocks}")
+        expected = (n_blocks, n_tasks) if self.mode == "clsdp" else (n_tasks,)
         if np.shape(self.intercepts) != expected:
             raise ValueError(
                 f"{self.mode} intercepts have shape {np.shape(self.intercepts)}, "
@@ -195,12 +195,6 @@ def _uniform_basis(mu0: np.ndarray, n_blocks: int) -> RbfParams:
                      sigma2=np.full((n_blocks, mu0.size), INITIAL_SIGMA2))
 
 
-def _data_residual(prob: AugmentedProblem, W: np.ndarray) -> float:
-    rows = prob.n_data_rows
-    resid = prob.y_a[:rows] - prob.phi_a[:rows] @ W
-    return float(np.linalg.norm(resid))
-
-
 def _fit(
     t: np.ndarray,
     Y: np.ndarray,
@@ -247,7 +241,7 @@ def _fit(
     Phi, PhiAcc = rbf.build_basis(t, params)
     prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)
     f_prev = elastic_net.objective(prob, lam1, W)
-    r_prev = _data_residual(prob, W)
+    r_prev = float(np.linalg.norm(Y - Phi @ W))
 
     trace = record["trace"]
     for k in range(1, config.max_outer_iters + 1):
@@ -274,7 +268,7 @@ def _fit(
             )
         W = W_new
 
-        r_k = _data_residual(prob, W)
+        r_k = float(np.linalg.norm(Y - Phi @ W))
         f_k = f_after_en
         trace.append({
             "iteration": k,
@@ -356,7 +350,7 @@ def reconstruct(prim: TrainedPrimitive, t: np.ndarray) -> np.ndarray:
     if t.min() < prim.t[0] - 1e-12 or t.max() > prim.t[-1] + 1e-12:
         raise ValueError("evaluation times outside the trained window")
     Y = rbf.eval_basis(t, prim.rbf_params) @ prim.W
-    if prim.mode == "lsdp":
+    if prim.mode != "clsdp":
         return Y + prim.intercepts
     # DoF-major rows: block i is DoF i, reordered to (N, n, d).
     return Y.reshape(prim.n_dof, t.size, -1).transpose(1, 0, 2) + prim.intercepts

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +101,32 @@ class TestSrcLines:
         (package / "notes.txt").write_text("not code\n")
         (tmp_path / "tools.py").write_text("outside = True\n")
         assert ab_bench.src_lines(tmp_path) == 3
+
+
+# A stand-in for bench/run.py: spins for about 0.2 s of CPU, then prints an
+# environment line and a result line as the real benchmark does.
+STUB = [sys.executable, "-c", """
+import json, time
+end = time.process_time() + 0.2
+while time.process_time() < end:
+    pass
+print(json.dumps({"python": "stub"}))
+print(json.dumps({"metrics": {"op_s": {"value": 1.0}}, "attempted": 3, "failed": 0}))
+"""]
+
+
+class TestRunBench:
+    def test_records_cpu_and_wall_seconds_of_the_run(self, tmp_path):
+        result = ab_bench.run_bench(STUB, tmp_path, "w", 42, 1.0)
+        assert result["environment"] == {"python": "stub"}
+        assert result["attempted"] == 3
+        assert 0.2 <= result["cpu_s"] <= result["wall_s"] + 0.05
+
+    def test_measure_gives_quartiles_of_each_sides_cpu_and_wall_seconds(self, tmp_path):
+        metrics = [{"name": "op_s", "better": "lower", "bound": 0.25}]
+        run = ab_bench.measure(STUB, {"base": tmp_path, "head": tmp_path}, "w", 42, 1.0,
+                               2, metrics)
+        assert run["ops"]["head"] == {"attempted": 6, "failed": 0}
+        for side in ("base", "head"):
+            assert set(run["process"][side]) == {"cpu_s", "wall_s"}
+            assert run["process"][side]["cpu_s"]["q1"] >= 0.2

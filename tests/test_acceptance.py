@@ -278,9 +278,9 @@ def test_criterion_08_baseline_orderings(fixture_sets, lsdp_noisy_models,
     goal_err = float(np.max(np.abs(settled.Q[-1] - dmp.goal)))
 
     ridge = baselines.train_ridge(demo, lambda2=1e-4)
-    acc_ridge = baselines.ridge_acc_norm(ridge)
+    acc_ridge = evaluate(ridge, ridge.t, reference=demo.Q)[1].acc_norm
 
-    params_ok = dmp.params_per_dof() == 11 and ridge.params_per_dof() == 11
+    params_ok = dmp.params_per_dof() == 11 and ridge.rbf_params.n_features + 1 == 11
     ordering = (acc_dmp > acc_ridge
                 and acc_ridge > acc_lsdp and acc_ridge > acc_clsdp)
     ok = ordering and params_ok and goal_err <= 1e-2

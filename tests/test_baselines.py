@@ -3,15 +3,13 @@ import pytest
 
 from sparsemp.baselines import (
     DmpModel,
-    RidgeModel,
-    ridge_acc_norm,
-    ridge_reconstruct,
     rollout_dmp,
     train_dmp,
     train_ridge,
     uniform_ridge_basis,
 )
 from sparsemp.rbf import eval_basis
+from sparsemp.trainers import evaluate, reconstruct
 from sparsemp.trajectory import JointTrajectory
 
 
@@ -111,7 +109,7 @@ class TestUniformRidgeBasis:
 class TestTrainRidge:
     def test_parameter_count_is_eleven_per_dof(self):
         model = train_ridge(smooth_demo())
-        assert model.params_per_dof() == 11
+        assert model.rbf_params.n_features + 1 == 11
 
     def test_unpenalized_solution_satisfies_normal_equations(self):
         t = np.arange(150) * 0.01
@@ -128,16 +126,25 @@ class TestTrainRidge:
         demo = smooth_demo(seed=8)
         light = train_ridge(demo, lambda2=1e-6)
         heavy = train_ridge(demo, lambda2=10.0)
-        assert ridge_acc_norm(heavy) < ridge_acc_norm(light)
+        assert (evaluate(heavy, heavy.t, demo.Q)[1].acc_norm
+                < evaluate(light, light.t, demo.Q)[1].acc_norm)
 
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             train_ridge(smooth_demo(), lambda2=-1.0)
 
+    def test_total_cost_is_residual_plus_acceleration_penalty(self):
+        demo = smooth_demo(seed=10)
+        model = train_ridge(demo, lambda2=1e-3)
+        assert model.mode == "ridge"
+        assert model.metadata == {"n_samples": 200, "lambda1": 0.0, "lambda2": 1e-3}
+        _, report = evaluate(model, model.t, demo.Q)
+        assert report.total_cost == report.res_norm ** 2 + 1e-3 * report.acc_norm ** 2
+
     def test_reconstruct_default_grid(self):
         demo = smooth_demo(seed=9)
         model = train_ridge(demo)
-        rec = ridge_reconstruct(model)
+        rec = reconstruct(model, model.t)
         assert rec.shape == demo.Q.shape
         rms = np.sqrt(np.mean((rec - demo.Q) ** 2))
         assert rms <= 0.1

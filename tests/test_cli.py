@@ -5,6 +5,9 @@ import pytest
 
 from sparsemp import cli, policy, trainers
 from sparsemp.cli import main
+from sparsemp.elastic_net import to_lasso
+from sparsemp.rbf import build_basis
+from sparsemp.reg_path import compute_path
 from sparsemp.trajectory import (
     JointTrajectory,
     load_trajectory_csv,
@@ -245,14 +248,47 @@ class TestTrain:
         )
         assert code == 0
         model = policy.load_policy(out)
-        assert model.params_per_dof() == 11
+        assert model.rbf_params.n_features + 1 == 11
+
+    def test_ridge_eval_counts_weights_and_intercept_per_dof(self, fixture_dir, tmp_path,
+                                                             capsys):
+        out = str(tmp_path / "ridge.json")
+        demo = str(fixture_dir / "demo_1.csv")
+        assert run("train", "ridge", demo, "--out", out, "--n-basis", "7") == 0
+        capsys.readouterr()
+        assert run("eval", out, "--demos", demo) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[:2] == ["ridge", str((7 + 1) * 2)]
+
+    def test_ridge_file_of_the_older_layout_evals_as_a_new_one(self, fixture_dir, tmp_path,
+                                                               capsys):
+        new = tmp_path / "ridge.json"
+        demo = str(fixture_dir / "demo_1.csv")
+        assert run("train", "ridge", demo, "--out", str(new)) == 0
+        model = policy.load_policy(new)
+        old = tmp_path / "ridge_old.json"
+        old.write_text(json.dumps({
+            "schema_version": 1, "method": "ridge", "dt": model.dt,
+            "duration": model.duration, "n": 2, "d": 1, "n_samples": model.t.size,
+            "intercepts": model.intercepts.tolist(),
+            "centers": model.rbf_params.mu[0].tolist(),
+            "widths": model.rbf_params.sigma2[0].tolist(),
+            "coefficients": {"n_features": 10, "n_tasks": 2,
+                             "active_rows": list(range(10)), "values": model.W.tolist()},
+            "lambda2": 1e-4,
+        }))
+        capsys.readouterr()
+        assert run("eval", str(new), str(old), "--demos", demo) == 0
+        header, row_new, row_old = capsys.readouterr().out.splitlines()
+        assert row_old == row_new
+        assert policy.load_policy(old).metadata == model.metadata
 
     def test_ridge_trains_with_the_lambda2_given_even_zero(self, fixture_dir, tmp_path):
         out = tmp_path / "ridge.json"
         code = run("train", "ridge", str(fixture_dir / "demo_1.csv"), "--out", str(out),
                    "--lambda2", "0")
         assert code == 0
-        assert policy.load_policy(out).lambda2 == 0.0
+        assert policy.load_policy(out).metadata["lambda2"] == 0.0
 
     def test_verbose_logs_each_solve_to_stderr(self, fixture_dir, tmp_path, capsys):
         demo = str(fixture_dir / "demo_1.csv")
@@ -337,6 +373,30 @@ class TestRankEval:
         _, dmp = trained
         code = run("rank", str(dmp), str(fixture_dir / "demo_1.csv"))
         assert code == 1
+
+    def test_rank_rejects_ridge(self, fixture_dir, tmp_path, capsys):
+        ridge = str(tmp_path / "ridge.json")
+        assert run("train", "ridge", str(fixture_dir / "demo_1.csv"), "--out", ridge) == 0
+        capsys.readouterr()
+        assert run("rank", ridge, str(fixture_dir / "demo_1.csv")) == 1
+        assert capsys.readouterr().err == "error: ranking undefined for this method\n"
+
+    def test_rank_out_cells_parse_as_the_path_numbers(self, fixture_dir, trained, tmp_path):
+        lsdp, _ = trained
+        csv_out = tmp_path / "path.csv"
+        demo = str(fixture_dir / "demo_1.csv")
+        assert run("rank", str(lsdp), demo, "--grid", "8", "--out", str(csv_out)) == 0
+        rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+        lambdas = [float(lam) for lam, _, _ in rows]
+        assert all(float(norm) >= 0.0 for _, _, norm in rows)
+        # the path `rank` builds: the policy's basis at its lambda2, on its demo
+        model = policy.load_policy(lsdp)
+        _, Y, _, _ = trainers.training_data(load_trajectory_csv(demo))
+        Phi, PhiAcc = build_basis(model.t, model.rbf_params)
+        prob = to_lasso(Phi, PhiAcc, Y, model.metadata["lambda2"])
+        path = compute_path(prob, n_lambdas=8, ratio=1e-3)
+        p = model.rbf_params.n_features
+        assert lambdas == [float(lam) for lam in path.lambdas for _ in range(p)]
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--grid", "1", "--grid must be >= 2"),

@@ -8,8 +8,14 @@ from hypothesis import strategies as st
 from sparsemp import policy
 from sparsemp.baselines import train_dmp, train_ridge
 from sparsemp.rbf import RbfParams, StackedRbfParams
-from sparsemp.trainers import TrainedPrimitive, TrainerConfig, evaluate, train_lsdp
-from sparsemp.trajectory import JointTrajectory
+from sparsemp.trainers import (
+    TrainedPrimitive,
+    TrainerConfig,
+    evaluate,
+    train_clsdp,
+    train_lsdp,
+)
+from sparsemp.trajectory import DemoSet, JointTrajectory
 
 
 def random_primitive(rng, mode="lsdp"):
@@ -171,7 +177,7 @@ class TestBaselineRoundTrip:
         np.testing.assert_array_equal(back.intercepts, model.intercepts)
         np.testing.assert_array_equal(back.rbf_params.mu, model.rbf_params.mu)
         np.testing.assert_array_equal(back.rbf_params.sigma2, model.rbf_params.sigma2)
-        assert back.lambda2 == model.lambda2
+        assert back.metadata == model.metadata
         np.testing.assert_array_equal(back.t, model.t)
 
 
@@ -222,3 +228,20 @@ class TestSchemaGuards:
     def test_unserializable_object_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             policy.save_policy(tmp_path / "x.json", object())
+
+
+def arrays_in(obj) -> list:
+    if isinstance(obj, dict):
+        return arrays_in(list(obj.values()))
+    if isinstance(obj, list):
+        return [a for item in obj for a in arrays_in(item)]
+    return [obj] if isinstance(obj, np.ndarray) else []
+
+
+def test_no_metadata_value_is_an_array():
+    # A policy's metadata is written as it is: scalars and lists of records.
+    demo = smooth_demo()
+    demos = DemoSet(demos=[demo, JointTrajectory(t=demo.t, Q=demo.Q[::-1].copy())])
+    config = TrainerConfig(max_outer_iters=2, initial_p=20)
+    for prim in (train_lsdp(demo, config), train_clsdp(demos, config), train_ridge(demo)):
+        assert arrays_in(prim.metadata) == []

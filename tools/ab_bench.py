@@ -10,8 +10,10 @@ is a detached `git worktree` of --base, removed afterwards, unless --base-dir
 names an existing checkout of it. Writes BENCH_<pr>.json at the repository
 root: per workload, seed and end-to-end metric, each side's q1/median/q3,
 the number of pairs each side won (a tie counts for neither) and a verdict
-(see `verdict`), plus the attempted and failed ops of each side and each
-side's line count of src/sparsemp. Standard library only.
+(see `verdict`), plus the attempted and failed ops of each side, the
+quartiles of each side's CPU and wall seconds per run (CPU well below wall
+means the host kept the run waiting) and each side's line count of
+src/sparsemp. Standard library only.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,15 +91,21 @@ def src_lines(checkout: Path) -> int:
 def run_bench(command: list[str], checkout: Path, workload: str, seed: int,
               seconds: float) -> dict:
     """The result line of one benchmark run in `checkout`, with the
-    environment line it starts with under "environment"."""
+    environment line it starts with under "environment" and the run's
+    CPU (user plus system) and wall seconds under "cpu_s" and "wall_s"."""
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    before, start = resource.getrusage(resource.RUSAGE_CHILDREN), time.perf_counter()
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         sys.exit(f"error: {' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
                  f"{proc.stderr}")
     environment, *_, result = proc.stdout.strip().splitlines()
-    return {**json.loads(result), "environment": json.loads(environment)}
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {**json.loads(result), "environment": json.loads(environment),
+            "cpu_s": cpu, "wall_s": wall}
 
 
 def measure(command, checkouts: dict, workload: str, seed: int, seconds: float,
@@ -118,8 +128,10 @@ def measure(command, checkouts: dict, workload: str, seed: int, seconds: float,
     ops = {side: {"attempted": sum(r["attempted"] for r in runs),
                   "failed": sum(r["failed"] for r in runs)}
            for side, runs in results.items()}
+    process = {side: {key: quartiles([r[key] for r in runs]) for key in ("cpu_s", "wall_s")}
+               for side, runs in results.items()}
     return {"workload": workload, "seed": seed, "metrics": summary, "ops": ops,
-            "environment": results["head"][0]["environment"]}
+            "process": process, "environment": results["head"][0]["environment"]}
 
 
 @contextlib.contextmanager
