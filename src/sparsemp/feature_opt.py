@@ -1,23 +1,26 @@
 """Nonlinear refinement of the basis parameters at fixed coefficients.
 
 Minimizes ||Y - Phi(theta) W||_F^2 + lambda2 ||PhiAcc(theta) W||_F^2 over
-theta = (centers, log squared widths) with dense BFGS and a strong-Wolfe
-line search. The sparsity penalty does not depend on theta and is added
-back by the caller when reporting total cost.
+theta = (centers, log squared widths) by Levenberg-Marquardt. The sparsity
+penalty does not depend on theta and is added back by the caller when
+reporting total cost.
 
-The theta layout lives here only: `FeatureObjective.encode`, `decode` and
-`clamp`. So does the line search (`_wolfe_search`): it mirrors SciPy's
-`line_search_wolfe2` bit for bit for the one way BFGS calls it, so nothing
-in the package loads `scipy.optimize`.
+The cost is a sum of squares, r(theta) = [vec(Y - Phi W); sqrt(lambda2)
+vec(PhiAcc W)], and column j of a block's Phi depends only on feature j's
+center and width. So the Gauss-Newton matrix J'J is block-diagonal over the
+DoF blocks, and within a block it is the Hadamard product of the Gram
+matrix of the parameter partials with W W' (Nocedal & Wright, Numerical
+Optimization, ch. 10). Each damped step solves one 2p x 2p system per
+block by Cholesky.
+
+The theta layout lives here only: `FeatureObjective.encode`, `decode`,
+`clamp`, and the block view of `gauss_newton` and `damped_step`.
 
 Each cost/gradient evaluation covers all DoF blocks with one batched kernel
 call (`rbf.basis_and_partials`) into a workspace that `FeatureObjective`
 allocates once, and contracts the parameter partials with the N x m
-residuals first, so no N x p product is formed. The line search asks for
-cost and gradient together, once per trial point, and BFGS takes both at
-the accepted step from it. The inverse Hessian is kept as the upper
-triangle of a Fortran-ordered array and updated in place by the O(dim^2)
-BLAS rank-two form, so a BFGS iteration allocates nothing of size dim^2.
+residuals first, so no N x p product is formed. The Gauss-Newton matrices
+are built from the same workspace, only at accepted points.
 """
 
 from __future__ import annotations
@@ -27,19 +30,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
+from scipy.linalg import lapack
 
 from .rbf import SIGMA2_MIN, RbfParams, basis_and_partials
 
 logger = logging.getLogger(__name__)
 
-CURVATURE_EPS = 1e-12
 LOG_S2_MAX = 50.0  # keeps exp() finite; widths this large are already flat
 LOG_S2_MIN = math.log(SIGMA2_MIN)
-# Strong-Wolfe constants (Nocedal & Wright's for quasi-Newton), relative |g| gate.
-WOLFE_C1 = 1e-4
-WOLFE_C2 = 0.9
-GRAD_TOL_REL = 1e-6
+GRAD_TOL_REL = 1e-6  # relative |g| gate
+# A step that lowers the cost by at most this share of it ends the run: the
+# square root of the trainers' solver tolerance, the accuracy of the loose
+# certificate that the following Elastic Net solve may end on.
+COST_TOL_REL = 1e-3
+DAMPING_INIT = 1e-3  # initial damping, relative to the largest diagonal of J'J
 
 
 class FeatureObjective:
@@ -74,6 +78,7 @@ class FeatureObjective:
             )
         self.p = self.W.shape[0]
         self._work = np.empty((6, self.n_blocks, self.N, self.p))
+        self._floor_free = np.ones((self.n_blocks, self.p), dtype=bool)
         self.n_evals = 0  # kernel evaluations, one per cost_grad call
 
     @property
@@ -116,7 +121,8 @@ class FeatureObjective:
         self.n_evals += 1
         mus, s2 = self.split_theta(theta)
         nb, N, W, lam2 = self.n_blocks, self.N, self.W, self.lambda2
-        floor_free = s2 >= SIGMA2_MIN  # the log-width gradient is 0 where the floor binds
+        # The log-width gradient is 0 where the floor binds.
+        floor_free = self._floor_free = s2 >= SIGMA2_MIN
         work = self._work
         basis_and_partials(self.t, mus, np.maximum(s2, SIGMA2_MIN), out=work)
         if not np.all(np.isfinite(work[0])):
@@ -132,118 +138,43 @@ class FeatureObjective:
         g[1] *= floor_free
         return f, g.reshape(-1)
 
+    def gauss_newton(self) -> np.ndarray:
+        """The Gauss-Newton matrices J_b'J_b of the blocks, (n_blocks, 2p, 2p),
+        at the point of the latest `cost_grad` call, whose workspace they read.
 
-def _bfgs_update(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> None:
-    """BFGS inverse-Hessian update in place, in O(dim^2); needs y's > 0.
+        Block b's variables are its p centers, then its p log widths. With
+        D_b and E_b the N x 2p partials of Phi_b and PhiAcc_b, the matrix is
+        (D_b'D_b + lambda2 E_b'E_b) * tile(W W', 2 x 2). The log-width rows
+        and columns are 0 where the width floor binds, as in the gradient.
+        """
+        nb, N, p = self.n_blocks, self.N, self.p
+        # K_b = [D_b; sqrt(lambda2) E_b], stacked so that one batched product
+        # gives every block's D_b'D_b + lambda2 E_b'E_b.
+        K = np.empty((nb, 2, N, 2, p))
+        K[...] = self._work[2:].reshape(2, 2, nb, N, p).transpose(2, 0, 3, 1, 4)
+        K[:, 1] *= math.sqrt(self.lambda2)
+        K[..., 1, :] *= self._floor_free[:, None, None, :]
+        K = K.reshape(nb, 2 * N, 2 * p)
+        H = K.swapaxes(-1, -2) @ K
+        H *= np.tile(self.W @ self.W.T, (2, 2))
+        return H
 
-    Expands H <- V H V' + rho s s' with V = I - rho s y' and rho = 1 / y's
-    (Nocedal & Wright, Numerical Optimization, eq. 6.17) into
-    H += (rho + rho^2 y'Hy) s s' - rho (Hy s' + s Hy'), written as the
-    symmetric rank-two term s w' + w s'. H must be a Fortran-ordered float
-    array of which only the upper triangle is read and written (BLAS
-    dsymv/dsyr2).
-    """
-    rho = 1.0 / (y @ s)
-    Hy = blas.dsymv(1.0, H, y)
-    w = (0.5 * (rho + rho * rho * (y @ Hy))) * s - rho * Hy
-    if blas.dsyr2(1.0, s, w, a=H, overwrite_a=True) is not H:
-        raise ValueError("H must be a Fortran-ordered float64 array")
-
-
-def _wolfe_search(objective: FeatureObjective, x: np.ndarray, p: np.ndarray,
-                  f0: float, g0: np.ndarray):
-    """Strong-Wolfe step along p from x: (alpha, f, g) at the accepted step,
-    or (None, None, None).
-
-    Each trial makes one `objective.cost_grad(x + alpha p)` call, which
-    gives phi(alpha) and phi'(alpha) = g . p. This is Nocedal & Wright's
-    Algorithm 3.5 (Numerical Optimization, 1999, pp. 59-61) as SciPy's
-    `line_search_wolfe2` writes it, cut to the way `bfgs_minimize` calls
-    it: c1 = WOLFE_C1, c2 = WOLFE_C2, first trial 1, no step bound. The
-    trials, their order and their arithmetic are SciPy's, so the steps are
-    bit for bit the same. The step doubles for at most 50 trials; if none
-    brackets a Wolfe point, the last trial is returned. SciPy's guard
-    against a zero step is left out: doubled from 1, the step never is.
-    """
-    def phi(a):
-        f, g = objective.cost_grad(x + a * p)
-        return f, np.dot(g, p), g
-
-    dphi0 = np.dot(g0, p)
-    a0, phi_a0, dphi_a0 = 0, f0, dphi0
-    a1 = 1.0
-    phi_a1, dphi_a1, g1 = phi(a1)
-    for i in range(50):
-        if phi_a1 > f0 + WOLFE_C1 * a1 * dphi0 or (phi_a1 >= phi_a0 and i > 0):
-            return _zoom(phi, f0, dphi0, a0, a1, phi_a0, phi_a1, dphi_a0)
-        if abs(dphi_a1) <= -WOLFE_C2 * dphi0:
-            return a1, phi_a1, g1
-        if dphi_a1 >= 0:
-            return _zoom(phi, f0, dphi0, a1, a0, phi_a1, phi_a0, dphi_a1)
-        a0, phi_a0, dphi_a0 = a1, phi_a1, dphi_a1
-        a1 = 2 * a1
-        phi_a1, dphi_a1, g1 = phi(a1)
-    return a1, phi_a1, g1
-
-
-def _zoom(phi, f0, dphi0, a_lo, a_hi, phi_lo, phi_hi, dphi_lo):
-    """Algorithm 3.6: shrink the bracket to a strong-Wolfe step, trying the
-    cubic, then the quadratic interpolant, then bisection; gives up
-    (None, None, None) after 11 trials."""
-    a_rec, phi_rec = 0, f0
-    for i in range(11):
-        dalpha = a_hi - a_lo
-        a, b = (a_hi, a_lo) if dalpha < 0 else (a_lo, a_hi)
-        cchk, qchk = 0.2 * dalpha, 0.1 * dalpha
-        a_j = None if i == 0 else _cubicmin(a_lo, phi_lo, dphi_lo, a_hi, phi_hi, a_rec, phi_rec)
-        if a_j is None or a_j > b - cchk or a_j < a + cchk:
-            a_j = _quadmin(a_lo, phi_lo, dphi_lo, a_hi, phi_hi)
-            if a_j is None or a_j > b - qchk or a_j < a + qchk:
-                a_j = a_lo + 0.5 * dalpha
-        phi_aj, dphi_aj, g_j = phi(a_j)
-        if phi_aj > f0 + WOLFE_C1 * a_j * dphi0 or phi_aj >= phi_lo:
-            a_rec, phi_rec = a_hi, phi_hi
-            a_hi, phi_hi = a_j, phi_aj
-            continue
-        if abs(dphi_aj) <= -WOLFE_C2 * dphi0:
-            return a_j, phi_aj, g_j
-        if dphi_aj * (a_hi - a_lo) >= 0:
-            a_rec, phi_rec = a_hi, phi_hi
-            a_hi, phi_hi = a_lo, phi_lo
-        else:
-            a_rec, phi_rec = a_lo, phi_lo
-        a_lo, phi_lo, dphi_lo = a_j, phi_aj, dphi_aj
-    return None, None, None
-
-
-def _cubicmin(a, fa, fpa, b, fb, c, fc):
-    """Minimizer of the cubic through (a, fa), (b, fb), (c, fc) with slope
-    fpa at a, or None."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            db, dc = b - a, c - a
-            denom = (db * dc) ** 2 * (db - dc)
-            d1 = np.array([[dc ** 2, -db ** 2], [-dc ** 3, db ** 3]])
-            A, B = np.dot(d1, np.asarray([fb - fa - fpa * db, fc - fa - fpa * dc]))
-            A /= denom
-            B /= denom
-            xmin = a + (-B + np.sqrt(B * B - 3 * A * fpa)) / (3 * A)
-        except ArithmeticError:
-            return None
-    return xmin if np.isfinite(xmin) else None
-
-
-def _quadmin(a, fa, fpa, b, fb):
-    """Minimizer of the quadratic through (a, fa), (b, fb) with slope fpa
-    at a, or None."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            db = b - a * 1.0
-            B = (fb - fa - fpa * db) / (db * db)
-            xmin = a - fpa / (2.0 * B)
-        except ArithmeticError:
-            return None
-    return xmin if np.isfinite(xmin) else None
+    def damped_step(self, H: np.ndarray, g: np.ndarray, damping: float) -> np.ndarray | None:
+        """The Levenberg-Marquardt step delta with (H_b + damping I) delta_b =
+        -g_b / 2 in every block, in the theta layout; None if a damped block
+        is not numerically positive definite. g is `cost_grad`'s gradient
+        and H `gauss_newton`'s matrices."""
+        nb, p = self.n_blocks, self.p
+        A = H + damping * np.eye(2 * p)
+        rhs = -0.5 * g.reshape(2, nb, p).swapaxes(0, 1).reshape(nb, 2 * p)
+        step = np.empty((nb, 2 * p))
+        for b in range(nb):
+            # A[b] is symmetric, so its transpose is the Fortran-ordered copy.
+            chol, info = lapack.dpotrf(A[b].T, lower=1, overwrite_a=1)
+            if info != 0:
+                return None
+            step[b], _ = lapack.dpotrs(chol, rhs[b], lower=1)
+        return step.reshape(nb, 2, p).swapaxes(0, 1).reshape(-1)
 
 
 @dataclass
@@ -253,7 +184,7 @@ class BfgsResult:
     grad_norm: float
     n_iters: int
     converged: bool
-    line_search_failed: bool
+    line_search_failed: bool  # the damping overflowed: no step lowered the cost
     n_evals: int  # kernel evaluations during the run, the start point's included
     start_cost: float  # the cost at theta0
 
@@ -263,22 +194,32 @@ def bfgs_minimize(
     theta0: np.ndarray,
     max_iters: int | None = None,
 ) -> BfgsResult:
-    """Dense BFGS with a strong-Wolfe line search.
+    """Levenberg-Marquardt on the blockwise Gauss-Newton matrices.
 
-    The search is `_wolfe_search`, which takes the steps SciPy's
-    `line_search_wolfe2` takes with c1 = WOLFE_C1, c2 = WOLFE_C2 and
-    maxiter = 50, so no run loads `scipy.optimize`. Each accepted iterate
-    is projected with `objective.clamp`; the cost and gradient there are
-    the line search's unless the clamp moved the point. Returns the best
-    iterate seen, so the cost is never above the start cost; a line-search
-    failure ends the run with the best-so-far, flagged. The run converges
-    when the gradient norm is at most GRAD_TOL_REL (1 + |f(theta0)|).
-    Emits one DEBUG record on the `sparsemp.feature_opt` logger per call.
+    The textbook recipe (Madsen, Nielsen & Tingleff, Methods for Non-Linear
+    Least Squares Problems, 2004, Alg. 3.16). The damping starts at
+    DAMPING_INIT times the largest diagonal entry of J'J over all blocks.
+    Each iteration solves for one damped step (`objective.damped_step`),
+    projects the trial point with `objective.clamp` and accepts it only if
+    the cost falls. After an accepted step the damping follows Nielsen's
+    update, mu *= max(1/3, 1 - (2 rho - 1)^3) with rho the ratio of the
+    actual to the predicted decrease; after a rejected one it grows by a
+    factor that doubles with each rejection in a row. Every trial point is
+    one kernel evaluation and counts as an iteration.
+
+    The run converges when an accepted step lowers the cost by at most
+    COST_TOL_REL of it, or when the gradient norm is at most
+    GRAD_TOL_REL (1 + |f(theta0)|). It fails, flagged
+    `line_search_failed`, when the damping overflows: no step however
+    short lowers the cost. The returned point is the last accepted one, so
+    its cost is never above the start cost. The name and the result's
+    fields are those of the BFGS this replaced, which the trace keys and
+    the trainer option `bfgs_max_iters` still carry. Emits one DEBUG
+    record on the `sparsemp.feature_opt` logger per call.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.all(np.isfinite(theta)):
         raise ValueError("non-finite initial point")
-    dim = theta.size
     if max_iters is None:
         max_iters = 100 * max(1, objective.p)
 
@@ -286,59 +227,47 @@ def bfgs_minimize(
     f, g = objective.cost_grad(theta)
     if not np.isfinite(f):
         raise FloatingPointError("non-finite cost at the initial point")
+    f0 = f
     grad_tol = GRAD_TOL_REL * (1.0 + abs(f))
-
-    f0, best_theta, best_f = f, theta.copy(), f
-    # Inverse Hessian: Fortran-ordered, only its upper triangle is kept;
-    # None stands for the identity until a curvature pair arrives.
-    H = None
-    first_step = True
-    ls_failed = False
     converged = np.linalg.norm(g) <= grad_tol
+    failed = False
+    if not converged:
+        H = objective.gauss_newton()
+        mu = DAMPING_INIT * float(np.max(np.diagonal(H, axis1=-2, axis2=-1)))
+        nu = 2.0
     it = 0
-    while not converged and it < max_iters:
-        d = -g if H is None else blas.dsymv(-1.0, H, g)
-        if d @ g >= 0:
-            # Safeguard: reset to steepest descent if H lost definiteness.
-            H = None
-            d = -g
-        alpha, f_new, g_new = _wolfe_search(objective, theta, d, f, g)
-        if alpha is None:
-            ls_failed = True
-            break
-        s = alpha * d
-        theta_new = theta + s  # the search's point, bit for bit
-        projected = objective.clamp(theta_new)
-        if not np.array_equal(projected, theta_new):
-            theta_new = projected
-            s = theta_new - theta
-            f_new, g_new = objective.cost_grad(theta_new)
-        y = g_new - g
-        ys = y @ s
-        if ys > CURVATURE_EPS:
-            if H is None:
-                H = np.eye(dim, order="F")
-                if first_step:
-                    H *= ys / (y @ y)
-                    first_step = False
-            _bfgs_update(H, s, y)
-        theta, f, g = theta_new, f_new, g_new
-        if f < best_f:
-            best_f, best_theta = f, theta.copy()
+    while not (converged or failed) and it < max_iters:
         it += 1
-        converged = np.linalg.norm(g) <= grad_tol
+        delta = objective.damped_step(H, g, mu)
+        if delta is not None:
+            trial = objective.clamp(theta + delta)
+            f_new, g_new = objective.cost_grad(trial)
+        if delta is not None and f_new < f:
+            # rho's denominator is the predicted decrease delta'(mu delta - g/2).
+            rho = (f - f_new) / float(delta @ (mu * delta - 0.5 * g))
+            converged = (f - f_new <= COST_TOL_REL * f
+                         or np.linalg.norm(g_new) <= grad_tol)
+            theta, f, g = trial, f_new, g_new
+            if not converged:
+                H = objective.gauss_newton()
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+                nu = 2.0
+        else:
+            mu *= nu
+            nu *= 2.0
+            failed = not math.isfinite(mu)
     n_evals = objective.n_evals - evals0
     if logger.isEnabledFor(logging.DEBUG):
-        exit_kind = "converged" if converged else "line_search" if ls_failed else "max_iters"
+        exit_kind = "converged" if converged else "line_search" if failed else "max_iters"
         logger.debug("bfgs: dim=%d iters=%d evals=%d exit=%s f=%.6g -> %.6g",
-                     dim, it, n_evals, exit_kind, f0, best_f)
+                     theta.size, it, n_evals, exit_kind, f0, f)
     return BfgsResult(
-        theta=best_theta,
-        cost=best_f,
+        theta=theta,
+        cost=f,
         grad_norm=float(np.linalg.norm(g)),
         n_iters=it,
         converged=bool(converged),
-        line_search_failed=ls_failed,
+        line_search_failed=failed,
         n_evals=n_evals,
         start_cost=f0,
     )

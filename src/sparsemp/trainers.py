@@ -1,13 +1,14 @@
 """Alternating sparse-regression / feature-refinement training loop.
 
-The loop repeats: refine basis parameters by BFGS at fixed coefficients,
-re-solve the multi-task elastic net at fixed basis, rescale the penalties
-with the squared residual ratio, prune dead features. The two models run
-the same loop and differ only in the data layout `training_data` builds:
-the single-demonstration variant shares one basis across the DoFs and fits
-one coefficient column per DoF; the coupled variant stacks demonstrations
-DoF-major so the columns are demonstrations and the basis adapts per DoF,
-making the coefficient count independent of the number of joints.
+The loop repeats: refine basis parameters by Levenberg-Marquardt at fixed
+coefficients (`feature_opt.bfgs_minimize`), re-solve the multi-task elastic
+net at fixed basis, rescale the penalties with the squared residual ratio,
+prune dead features. The two models run the same loop and differ only in
+the data layout `training_data` builds: the single-demonstration variant
+shares one basis across the DoFs and fits one coefficient column per DoF;
+the coupled variant stacks demonstrations DoF-major so the columns are
+demonstrations and the basis adapts per DoF, making the coefficient count
+independent of the number of joints.
 """
 
 from __future__ import annotations
@@ -53,8 +54,11 @@ class TrainerConfig:
     """Knobs of the alternating loop; None means derive a default.
 
     The solver tolerance, sweep budget and initial width are the module
-    constants SOLVE_TOL, MAX_SWEEPS and INITIAL_SIGMA2; pruning and the BFGS
-    gradient gate use `elastic_net.TOL_PRUNE` and `feature_opt.GRAD_TOL_REL`.
+    constants SOLVE_TOL, MAX_SWEEPS and INITIAL_SIGMA2; pruning uses
+    `elastic_net.TOL_PRUNE`, and the basis refinement stops on
+    `feature_opt.COST_TOL_REL` (the square root of SOLVE_TOL) or
+    `feature_opt.GRAD_TOL_REL`. `bfgs_max_iters` caps that refinement's
+    Levenberg-Marquardt iterations; it keeps the name of the BFGS it replaced.
     The elastic-net descent check runs in every outer iteration; the class
     attribute `check_invariants` (not a field) records that it always does.
     """

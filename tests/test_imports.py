@@ -49,7 +49,7 @@ def test_third_party_imports_are_declared_dependencies():
     assert not undeclared, f"imports outside pyproject.toml's dependencies: {undeclared}"
 
 
-# Ranks features on a small problem, runs BFGS once, then trains one small
+# Ranks features on a small problem, refines a basis once, then trains one small
 # lsdp and one small clsdp model; prints whether scipy.optimize was loaded
 # after each step.
 LOADS_SCRIPT = """

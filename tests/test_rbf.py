@@ -36,7 +36,7 @@ def random_params(p=3, seed=0, lo=0.01, hi=0.5):
 
 
 def round_trip(params, n_dof=1):
-    """params laid out as theta and read back, as the BFGS objective does."""
+    """params laid out as theta and read back, as the refinement objective does."""
     obj = FeatureObjective(np.zeros(1), np.zeros((n_dof, 1)),
                            np.zeros((params.n_features, 1)), 0.0, n_dof_blocks=n_dof)
     return obj.decode(obj.encode(params))
