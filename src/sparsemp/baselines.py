@@ -15,22 +15,20 @@ from .rbf import RbfParams, build_basis
 from .trainers import TrainedPrimitive, training_data
 from .trajectory import JointTrajectory
 
-ALPHA_Z = 25.0  # DMP gain; beta_z = ALPHA_Z / 4 (critical damping), alpha_x = ALPHA_Z / 3
+ALPHA_Z = 25.0  # DMP gains of Ijspeert et al. (2013), critically damped
+BETA_Z = ALPHA_Z / 4.0
+ALPHA_X = ALPHA_Z / 3.0
 
 
 @dataclass
 class DmpModel:
-    """Per-DoF attractor dynamics with a phase-gated forcing term."""
+    """Per-DoF attractor dynamics with a phase-gated forcing term. The gains
+    are the module constants; the phase basis derives from them and tau."""
 
-    weights: np.ndarray        # n x n_basis
+    weights: np.ndarray        # n x n_basis, C-ordered
     goal: np.ndarray           # (n,)
     y0: np.ndarray             # (n,)
-    tau: float
-    alpha_z: float
-    beta_z: float
-    alpha_x: float
-    centers: np.ndarray        # phase-space RBF centers, (n_basis,)
-    widths: np.ndarray         # phase-space RBF precisions, (n_basis,)
+    tau: float                 # the demonstration's duration
     dt: float
 
     @property
@@ -70,12 +68,11 @@ def train_dmp(
     """Fit the forcing weights to the demonstration's attractor residual.
 
     Velocities and accelerations come from central differences; the target
-    forcing is f* = tau^2 ydd - alpha_z (beta_z (g - y) - tau yd), fit per
+    forcing is f* = tau^2 ydd - ALPHA_Z (BETA_Z (g - y) - tau yd), fit per
     DoF by least squares on the phase-gated normalized basis.
     """
     if demo.n_samples < 3:
         raise ValueError("need at least 3 samples to differentiate")
-    alpha_z, beta_z, alpha_x = ALPHA_Z, ALPHA_Z / 4.0, ALPHA_Z / 3.0
     tau = demo.duration
     dt = demo.dt
     Q = demo.Q
@@ -84,24 +81,14 @@ def train_dmp(
 
     yd = np.gradient(Q, dt, axis=0)
     ydd = np.gradient(yd, dt, axis=0)
-    f_target = tau ** 2 * ydd - alpha_z * (beta_z * (goal - Q) - tau * yd)
+    f_target = tau ** 2 * ydd - ALPHA_Z * (BETA_Z * (goal - Q) - tau * yd)
 
-    x = np.exp(-alpha_x * (demo.t - demo.t[0]) / tau)
-    centers, widths = _phase_basis(n_basis, alpha_x, tau)
-    M = _forcing_design(x, centers, widths)
+    x = np.exp(-ALPHA_X * (demo.t - demo.t[0]) / tau)
+    M = _forcing_design(x, *_phase_basis(n_basis, ALPHA_X, tau))
     weights, *_ = np.linalg.lstsq(M, f_target, rcond=None)
-    return DmpModel(
-        weights=weights.T,
-        goal=goal,
-        y0=y0,
-        tau=tau,
-        alpha_z=alpha_z,
-        beta_z=beta_z,
-        alpha_x=alpha_x,
-        centers=centers,
-        widths=widths,
-        dt=dt,
-    )
+    # C order, as a loaded model holds it: the rollout's product rounds alike.
+    return DmpModel(weights=np.ascontiguousarray(weights.T), goal=goal, y0=y0,
+                    tau=tau, dt=dt)
 
 
 def rollout_dmp(
@@ -120,6 +107,7 @@ def rollout_dmp(
     g = model.goal if g_override is None else np.asarray(g_override, float)
     tau = model.tau
 
+    centers, widths = _phase_basis(model.n_basis, ALPHA_X, tau)
     n_steps = int(round(duration / dt))
     t = np.arange(n_steps + 1) * dt
     out = np.empty((n_steps + 1, model.n_dof))
@@ -127,11 +115,11 @@ def rollout_dmp(
     v = np.zeros(model.n_dof)
     x = 1.0
     for k in range(n_steps):
-        f = _forcing_design(np.array([x]), model.centers, model.widths)[0] @ model.weights.T
-        a = (model.alpha_z * (model.beta_z * (g - y) - tau * v) + f) / tau ** 2
+        f = _forcing_design(np.array([x]), centers, widths)[0] @ model.weights.T
+        a = (ALPHA_Z * (BETA_Z * (g - y) - tau * v) + f) / tau ** 2
         v = v + dt * a
         y = y + dt * v
-        x = x + dt * (-model.alpha_x * x / tau)
+        x = x + dt * (-ALPHA_X * x / tau)
         out[k + 1] = y
     return JointTrajectory(t=t, Q=out)
 
@@ -161,5 +149,5 @@ def train_ridge(
     W = np.linalg.solve(A, Phi.T @ Yc)
     return TrainedPrimitive(
         mode="ridge", intercepts=intercepts, rbf_params=params, W=W, t=t,
-        metadata={"n_samples": demo.n_samples, "lambda1": 0.0, "lambda2": float(lambda2)},
+        metadata={"lambda1": 0.0, "lambda2": float(lambda2)},
     )

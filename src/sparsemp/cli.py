@@ -86,17 +86,7 @@ def cmd_synth(args) -> int:
             rbf_params=params,
             W=truth.W[:, :, j - 1],
             t=t,
-            metadata={
-                "n_samples": demos.n_samples,
-                "n_dof": demos.n_dof,
-                "n_demos": 1,
-                "dt": dt,
-                "duration": float(t[-1]),
-                "noise": args.noise,
-                "seed": args.seed,
-                "lambda1": 0.0,
-                "lambda2": 0.0,
-            },
+            metadata={"noise": args.noise, "seed": args.seed, "lambda1": 0.0, "lambda2": 0.0},
         )
         prim.metadata["res_norm"] = float(
             np.linalg.norm(demo.Q - trainers.reconstruct(prim, t))

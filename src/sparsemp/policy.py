@@ -1,8 +1,12 @@
 """JSON policy files: the trained parameters a controller would load.
 
-Schema version 1. Coefficients are stored as sorted active rows plus their
-values; floats go through Python's shortest-repr decimal serialization,
-which reproduces every double bit-exactly on load.
+Schema version 1. The header states each fact once: a primitive's time
+grid is `n_samples` samples `dt` apart from 0, and its metadata is the fit
+record only. A DMP file holds its weights, goal, start, `dt` and `duration`
+(its tau); the gains are constants and the phase basis derives from them.
+Coefficients are stored as sorted active rows plus their values; floats go
+through Python's shortest-repr decimal serialization, which reproduces every
+double bit-exactly on load, so a loaded policy reconstructs bit-identically.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ def primitive_to_dict(prim: TrainedPrimitive, ground_truth: bool = False) -> dic
         "method": prim.mode,
         "dt": float(prim.dt),
         "duration": float(prim.duration),
+        "n_samples": int(prim.t.size),
         "n": int(prim.n_dof),
         "d": int(prim.n_demos),
         "intercepts": _floats(prim.intercepts),
@@ -83,15 +88,17 @@ def _basis(doc: dict) -> RbfParams:
 
 
 def primitive_from_dict(doc: dict) -> TrainedPrimitive:
-    # Ridge files of the older layout keep n_samples and lambda2 at top level.
+    # The header holds the grid; files written before it did keep n_samples
+    # in metadata, and ridge files of the older layout lambda2 at top level.
     meta = doc["metadata"] if "metadata" in doc else {
-        "n_samples": doc["n_samples"], "lambda1": 0.0, "lambda2": doc["lambda2"]}
+        "lambda1": 0.0, "lambda2": doc["lambda2"]}
+    n_samples = doc["n_samples"] if "n_samples" in doc else meta["n_samples"]
     return TrainedPrimitive(
         mode=doc["method"],
         intercepts=np.array(doc["intercepts"]),
         rbf_params=_basis(doc),
         W=_coef_from_block(doc["coefficients"]),
-        t=np.arange(int(meta["n_samples"])) * doc["dt"],
+        t=np.arange(int(n_samples)) * doc["dt"],
         metadata=dict(meta),
     )
 
@@ -107,26 +114,16 @@ def dmp_to_dict(model: DmpModel) -> dict:
         "weights": _floats(model.weights),
         "goal": _floats(model.goal),
         "y0": _floats(model.y0),
-        "tau": float(model.tau),
-        "alpha_z": float(model.alpha_z),
-        "beta_z": float(model.beta_z),
-        "alpha_x": float(model.alpha_x),
-        "phase_centers": _floats(model.centers),
-        "phase_widths": _floats(model.widths),
     }
 
 
 def dmp_from_dict(doc: dict) -> DmpModel:
+    # Older files also carry tau, the gains and the phase basis; all derive.
     return DmpModel(
         weights=np.array(doc["weights"]),
         goal=np.array(doc["goal"]),
         y0=np.array(doc["y0"]),
-        tau=doc["tau"],
-        alpha_z=doc["alpha_z"],
-        beta_z=doc["beta_z"],
-        alpha_x=doc["alpha_x"],
-        centers=np.array(doc["phase_centers"]),
-        widths=np.array(doc["phase_widths"]),
+        tau=doc["duration"],
         dt=doc["dt"],
     )
 
@@ -148,9 +145,12 @@ def load_policy(path):
         doc = json.load(fh)
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
-    method = doc["method"]
-    if method in ("lsdp", "clsdp", "ridge"):
-        return primitive_from_dict(doc)
-    if method == "dmp":
-        return dmp_from_dict(doc)
+    try:
+        method = doc["method"]
+        if method in ("lsdp", "clsdp", "ridge"):
+            return primitive_from_dict(doc)
+        if method == "dmp":
+            return dmp_from_dict(doc)
+    except KeyError as err:
+        raise ValueError(f"{path}: policy file lacks field {err}") from err
     raise ValueError(f"unknown method tag {method!r}")

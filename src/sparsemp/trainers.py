@@ -168,15 +168,17 @@ def training_data(
     One demonstration (lsdp) is centered per DoF column and gets one basis
     block. A demonstration set (clsdp) is stacked DoF-major, one column per
     demo and one row block per DoF, and each block of each column is
-    centered. The grid is measured from the first sample.
+    centered. The grid is `arange(N) * dt`, measured from the first sample
+    and built as a loaded policy rebuilds it from `(n_samples, dt)`, so a
+    policy means the same after save/load whatever its demos' time origin.
     """
     if isinstance(data, DemoSet):
         intercepts, stacked = trajectory.center_stacked(trajectory.stack_demoset(data))
-        t, Y, n_blocks = data.demos[0].t, stacked.Y, data.n_dof
+        Y, n_blocks = stacked.Y, data.n_dof
     else:
         centered = trajectory.center(data)
-        t, Y, intercepts, n_blocks = data.t, centered.centered, centered.intercepts, 1
-    return t - t[0], Y, intercepts, n_blocks
+        Y, intercepts, n_blocks = centered.centered, centered.intercepts, 1
+    return np.arange(data.n_samples) * data.dt, Y, intercepts, n_blocks
 
 
 def reference(data: JointTrajectory | DemoSet) -> np.ndarray:
@@ -208,8 +210,8 @@ def _fit(
 ) -> tuple[RbfParams, np.ndarray, dict]:
     """One run of the alternating loop on centered data.
 
-    Returns the basis, the coefficients and the run's record: the fit's
-    half of the policy metadata, in metadata order.
+    Returns the basis, the coefficients and the run's record, which is the
+    policy's metadata.
     """
     params = _uniform_basis(mu0, n_blocks)
     record = {
@@ -326,16 +328,8 @@ def _train(mode: str, data: JointTrajectory | DemoSet,
         for r in range(config.restarts)
     )
     params, W, record = min(runs, key=lambda run: run[2]["final_cost"])
-    metadata = {
-        "n_samples": data.n_samples,
-        "n_dof": data.n_dof,
-        "n_demos": Y.shape[1] if mode == "clsdp" else 1,
-        "dt": data.dt,
-        "duration": float(t[-1]),
-        **record,
-    }
     return TrainedPrimitive(mode=mode, intercepts=intercepts, rbf_params=params,
-                            W=W, t=t, metadata=metadata)
+                            W=W, t=t, metadata=record)
 
 
 def train_lsdp(demo: JointTrajectory, config: TrainerConfig | None = None) -> TrainedPrimitive:

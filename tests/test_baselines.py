@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from sparsemp.baselines import (
+    ALPHA_X,
+    ALPHA_Z,
+    BETA_Z,
     DmpModel,
+    _phase_basis,
     rollout_dmp,
     train_dmp,
     train_ridge,
@@ -33,10 +37,9 @@ class TestTrainDmp:
         assert model.params_per_dof() == 11
 
     def test_default_gains(self):
-        model = train_dmp(smooth_demo())
-        assert model.alpha_z == 25.0
-        assert model.beta_z == pytest.approx(6.25)
-        assert model.alpha_x == pytest.approx(25.0 / 3.0)
+        assert ALPHA_Z == 25.0
+        assert BETA_Z == pytest.approx(6.25)
+        assert ALPHA_X == pytest.approx(25.0 / 3.0)
 
     def test_goal_and_start_taken_from_demo(self):
         demo = smooth_demo(seed=1)
@@ -46,9 +49,10 @@ class TestTrainDmp:
 
     def test_phase_centers_decrease_from_one(self):
         model = train_dmp(smooth_demo())
-        assert model.centers[0] == pytest.approx(1.0)
-        assert np.all(np.diff(model.centers) < 0)
-        assert np.all(model.centers > 0)
+        centers, _ = _phase_basis(model.n_basis, ALPHA_X, model.tau)
+        assert centers[0] == pytest.approx(1.0)
+        assert np.all(np.diff(centers) < 0)
+        assert np.all(centers > 0)
 
     def test_too_short_demo_rejected(self):
         with pytest.raises(ValueError, match="3 samples"):
@@ -137,7 +141,7 @@ class TestTrainRidge:
         demo = smooth_demo(seed=10)
         model = train_ridge(demo, lambda2=1e-3)
         assert model.mode == "ridge"
-        assert model.metadata == {"n_samples": 200, "lambda1": 0.0, "lambda2": 1e-3}
+        assert model.metadata == {"lambda1": 0.0, "lambda2": 1e-3}
         _, report = evaluate(model, model.t, demo.Q)
         assert report.total_cost == report.res_norm ** 2 + 1e-3 * report.acc_norm ** 2
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsemp import cli, policy, trainers
+from sparsemp import baselines, cli, policy, trainers
 from sparsemp.cli import main
 from sparsemp.elastic_net import to_lasso
 from sparsemp.rbf import build_basis
@@ -475,6 +475,65 @@ class TestRankEval:
         else:
             assert code == 1
             assert f"error: {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["lsdp", "clsdp"])
+    def test_primitive_file_of_the_older_layout_evals_as_a_new_one(
+        self, method, fixture_dir, tmp_path, capsys
+    ):
+        # Before the header held n_samples, metadata did, with the shape.
+        demos = [str(fixture_dir / "demo_1.csv")]
+        if method == "clsdp":
+            demos.append(str(fixture_dir / "demo_2.csv"))
+        new = tmp_path / "new.json"
+        assert run("train", method, *demos, "--out", str(new), "--max-iters", "2") == 0
+        doc, model = json.loads(new.read_text()), policy.load_policy(new)
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "schema_version": 1, "method": method, "dt": model.dt,
+            "duration": model.duration, "n": 2, "d": len(demos),
+            "intercepts": doc["intercepts"], "centers": doc["centers"],
+            "widths": doc["widths"], "coefficients": doc["coefficients"],
+            "metadata": {"n_samples": model.t.size, "n_dof": 2, "n_demos": len(demos),
+                         "dt": model.dt, "duration": model.duration, **doc["metadata"]},
+        }))
+        capsys.readouterr()
+        assert run("eval", str(new), str(old), "--demos", *demos) == 0
+        header, row_new, row_old = capsys.readouterr().out.splitlines()
+        assert row_old == row_new
+        np.testing.assert_array_equal(policy.load_policy(old).t, model.t)
+
+    def test_dmp_file_of_the_older_layout_evals_as_a_new_one(self, fixture_dir, trained,
+                                                             tmp_path, capsys):
+        # Before, a DMP file also held tau, its gains and its phase basis.
+        _, new = trained
+        model = policy.load_policy(new)
+        centers, widths = baselines._phase_basis(model.n_basis, baselines.ALPHA_X,
+                                                  model.tau)
+        old = tmp_path / "dmp_old.json"
+        old.write_text(json.dumps({
+            "schema_version": 1, "method": "dmp", "dt": model.dt, "duration": model.tau,
+            "n": 2, "d": 1, "weights": model.weights.tolist(), "goal": model.goal.tolist(),
+            "y0": model.y0.tolist(), "tau": model.tau,
+            "alpha_z": 25.0, "beta_z": 6.25, "alpha_x": 25.0 / 3.0,
+            "phase_centers": centers.tolist(), "phase_widths": widths.tolist(),
+        }))
+        demo = str(fixture_dir / "demo_1.csv")
+        capsys.readouterr()
+        assert run("eval", str(new), str(old), "--demos", demo) == 0
+        header, row_new, row_old = capsys.readouterr().out.splitlines()
+        assert row_old == row_new
+
+    @pytest.mark.parametrize("kind, field", [(0, "coefficients"), (1, "goal")])
+    def test_eval_names_the_file_and_the_field_it_lacks(self, kind, field, fixture_dir,
+                                                        trained, tmp_path, capsys):
+        doc = json.loads(trained[kind].read_text())
+        del doc[field]
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", str(path), "--demos", str(fixture_dir / "demo_1.csv")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: policy file lacks field '{field}'\n")
 
     def test_eval_missing_policy_fails(self, fixture_dir, tmp_path):
         code = run(

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsemp import policy
-from sparsemp.baselines import train_dmp, train_ridge
+from sparsemp.baselines import rollout_dmp, train_dmp, train_ridge
 from sparsemp.rbf import RbfParams, StackedRbfParams
 from sparsemp.trainers import (
     TrainedPrimitive,
     TrainerConfig,
     evaluate,
+    reconstruct,
+    reference,
     train_clsdp,
     train_lsdp,
 )
@@ -121,37 +123,71 @@ class TestPrimitiveRoundTrip:
         assert doc["ground_truth"] is True
         assert doc["schema_version"] == policy.SCHEMA_VERSION
 
+    @pytest.mark.parametrize("metadata", [{}, {"n_samples": 7}])
+    def test_grid_comes_from_the_header(self, tmp_path, metadata):
+        # Neither an empty metadata nor a stale n_samples in it moves the grid.
+        prim = TrainedPrimitive(
+            mode="lsdp", intercepts=np.zeros(1),
+            rbf_params=RbfParams(mu=np.array([0.02]), sigma2=np.array([0.01])),
+            W=np.ones((1, 1)), t=np.arange(5) * 0.01, metadata=metadata,
+        )
+        path = tmp_path / "p.json"
+        policy.save_policy(path, prim)
+        back = policy.load_policy(path)
+        np.testing.assert_array_equal(back.t, prim.t)
+        assert back.metadata == metadata
 
-def round_trip_residual(demo, tmp_path):
-    """evaluate's residual of an lsdp fit to demo, before and after a
-    save/load round trip, each on the policy's own time grid."""
-    prim = train_lsdp(demo, TrainerConfig(initial_p=6, max_outer_iters=1,
-                                           bfgs_max_iters=2))
+
+def demo_data(mode, t0=0.0, N=120, dt=0.01):
+    """smooth_demo recorded from t0: the demo itself for lsdp, for clsdp a
+    set of it and its time reversal."""
+    demo = smooth_demo(N=N, dt=dt)
+    demo = JointTrajectory(t=t0 + demo.t, Q=demo.Q)
+    if mode == "lsdp":
+        return demo
+    return DemoSet(demos=[demo, JointTrajectory(t=demo.t, Q=demo.Q[::-1].copy())])
+
+
+def round_trip(data, tmp_path):
+    """A short fit to data (clsdp for a set, else lsdp) and its reload."""
+    train = train_clsdp if isinstance(data, DemoSet) else train_lsdp
+    prim = train(data, TrainerConfig(initial_p=6, max_outer_iters=1, bfgs_max_iters=2))
     path = tmp_path / "p.json"
     policy.save_policy(path, prim)
-    back = policy.load_policy(path)
-    _, before = evaluate(prim, prim.t, demo.Q)
-    _, after = evaluate(back, back.t, demo.Q)
-    return before.res_norm, after.res_norm
+    return prim, policy.load_policy(path)
+
+
+def assert_same_after_reload(prim, back):
+    np.testing.assert_array_equal(back.t, prim.t)
+    np.testing.assert_array_equal(reconstruct(back, back.t), reconstruct(prim, prim.t))
 
 
 class TestTimeOrigin:
     def test_late_demo_means_the_same_after_reload(self, tmp_path):
-        # A demo recorded from t = 5 s: the policy's grid starts at 0, as
-        # the loaded one is rebuilt, so both reconstruct the same motion.
-        demo = smooth_demo()
-        late = JointTrajectory(t=demo.t + 5.0, Q=demo.Q)
-        before, after = round_trip_residual(late, tmp_path)
-        assert after == pytest.approx(before, rel=1e-9)
-        assert before == pytest.approx(round_trip_residual(demo, tmp_path)[0], rel=1e-6)
+        # Demos recorded from t = 5 s: the policy's grid starts at 0 and is
+        # built as the loaded one is rebuilt, so both reconstruct the same
+        # motion bit for bit, and the fit is the one made from t = 0.
+        for mode in ("lsdp", "clsdp"):
+            data = demo_data(mode, t0=5.0)
+            prim, back = round_trip(data, tmp_path)
+            assert_same_after_reload(prim, back)
+            at_zero, _ = round_trip(demo_data(mode), tmp_path)
+            res = evaluate(prim, prim.t, reference(data))[1].res_norm
+            assert res == pytest.approx(
+                evaluate(at_zero, at_zero.t, reference(data))[1].res_norm, rel=1e-6)
+
+    @pytest.mark.parametrize("mode", ["lsdp", "clsdp"])
+    @pytest.mark.parametrize("t0", [5.0, 0.1, -37.3, 123.456])
+    def test_reload_is_bit_identical_from_any_origin(self, tmp_path, mode, t0):
+        assert_same_after_reload(*round_trip(demo_data(mode, t0), tmp_path))
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(st.floats(-100.0, 100.0), st.floats(1e-3, 0.05))
     def test_round_trip_any_origin_and_step(self, tmp_path_factory, t0, dt):
-        demo = smooth_demo(N=40, dt=dt)
-        demo = JointTrajectory(t=t0 + demo.t, Q=demo.Q)
-        before, after = round_trip_residual(demo, tmp_path_factory.mktemp("rt"))
-        assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
+        for mode in ("lsdp", "clsdp"):
+            prim, back = round_trip(demo_data(mode, t0, N=40, dt=dt),
+                                    tmp_path_factory.mktemp("rt"))
+            assert_same_after_reload(prim, back)
 
 
 class TestBaselineRoundTrip:
@@ -164,9 +200,14 @@ class TestBaselineRoundTrip:
         np.testing.assert_array_equal(back.goal, model.goal)
         np.testing.assert_array_equal(back.y0, model.y0)
         assert back.tau == model.tau
-        assert back.alpha_z == model.alpha_z
-        np.testing.assert_array_equal(back.centers, model.centers)
-        np.testing.assert_array_equal(back.widths, model.widths)
+        assert back.dt == model.dt
+
+    def test_dmp_rolls_out_bit_identically_after_reload(self, tmp_path):
+        model = train_dmp(smooth_demo())
+        path = tmp_path / "dmp.json"
+        policy.save_policy(path, model)
+        np.testing.assert_array_equal(rollout_dmp(policy.load_policy(path)).Q,
+                                      rollout_dmp(model).Q)
 
     def test_ridge_bit_exact(self, tmp_path):
         model = train_ridge(smooth_demo())

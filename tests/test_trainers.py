@@ -178,9 +178,11 @@ class TestTrainLsdp:
         demo = demos.demos[0]
         prim = train_lsdp(demo, small_config(seed=7, bfgs_max_iters=5))
         md = prim.metadata
-        assert md["n_samples"] == demo.n_samples
-        assert md["n_dof"] == demo.n_dof
-        assert md["n_demos"] == 1
+        assert prim.t.size == demo.n_samples
+        assert prim.n_dof == demo.n_dof
+        assert prim.n_demos == 1
+        # The primitive carries its shape; metadata is the fit record only.
+        assert not {"n_samples", "n_dof", "n_demos", "dt", "duration"} & md.keys()
         assert md["seed"] == 7
         assert md["res_norm"] >= 0.0
         assert md["n_outer_iters"] == len(md["trace"])
