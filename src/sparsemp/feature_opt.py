@@ -78,7 +78,6 @@ class FeatureObjective:
             )
         self.p = self.W.shape[0]
         self._work = np.empty((6, self.n_blocks, self.N, self.p))
-        self._floor_free = np.ones((self.n_blocks, self.p), dtype=bool)
         self.n_evals = 0  # kernel evaluations, one per cost_grad call
 
     @property
@@ -89,7 +88,7 @@ class FeatureObjective:
         """(n_blocks x p centers, n_blocks x p squared widths)."""
         nb, p = self.n_blocks, self.p
         mus = theta[: nb * p].reshape(nb, p)
-        s2 = np.exp(np.minimum(theta[nb * p:].reshape(nb, p), LOG_S2_MAX))
+        s2 = np.exp(theta[nb * p:].reshape(nb, p))
         return mus, s2
 
     def encode(self, params: RbfParams) -> np.ndarray:
@@ -101,16 +100,17 @@ class FeatureObjective:
 
     def decode(self, theta: np.ndarray) -> RbfParams:
         mus, s2 = self.split_theta(theta)
-        return RbfParams(mu=mus, sigma2=np.maximum(s2, SIGMA2_MIN))
+        return RbfParams(mu=mus, sigma2=s2)
 
     def clamp(self, theta: np.ndarray) -> np.ndarray:
         """A copy of theta with the centers clipped to [t_0 - T, t_end + T],
-        T the window length, and the log widths raised to LOG_S2_MIN."""
+        T the window length, and the log widths to [LOG_S2_MIN, LOG_S2_MAX]:
+        the refinement's one bound, which every trial point passes through."""
         t0, t1 = float(self.t[0]), float(self.t[-1])
         n_mu = self.n_blocks * self.p
         out = np.array(theta, dtype=float)
         np.clip(out[:n_mu], t0 - (t1 - t0), t1 + (t1 - t0), out=out[:n_mu])
-        np.maximum(out[n_mu:], LOG_S2_MIN, out=out[n_mu:])
+        np.clip(out[n_mu:], LOG_S2_MIN, LOG_S2_MAX, out=out[n_mu:])
         return out
 
     def cost_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -121,10 +121,8 @@ class FeatureObjective:
         self.n_evals += 1
         mus, s2 = self.split_theta(theta)
         nb, N, W, lam2 = self.n_blocks, self.N, self.W, self.lambda2
-        # The log-width gradient is 0 where the floor binds.
-        floor_free = self._floor_free = s2 >= SIGMA2_MIN
         work = self._work
-        basis_and_partials(self.t, mus, np.maximum(s2, SIGMA2_MIN), out=work)
+        basis_and_partials(self.t, mus, s2, out=work)
         if not np.all(np.isfinite(work[0])):
             raise FloatingPointError("non-finite basis values")
         R = self.Y.reshape(nb, N, -1) - work[0] @ W
@@ -135,7 +133,6 @@ class FeatureObjective:
         G = (lam2 * (work[4:].swapaxes(-1, -2) @ A)  # (2, nb, p, m): mu, log s2
              - work[2:4].swapaxes(-1, -2) @ R)
         g = 2.0 * np.sum(G * W, axis=-1)
-        g[1] *= floor_free
         return f, g.reshape(-1)
 
     def gauss_newton(self) -> np.ndarray:
@@ -144,8 +141,7 @@ class FeatureObjective:
 
         Block b's variables are its p centers, then its p log widths. With
         D_b and E_b the N x 2p partials of Phi_b and PhiAcc_b, the matrix is
-        (D_b'D_b + lambda2 E_b'E_b) * tile(W W', 2 x 2). The log-width rows
-        and columns are 0 where the width floor binds, as in the gradient.
+        (D_b'D_b + lambda2 E_b'E_b) * tile(W W', 2 x 2).
         """
         nb, N, p = self.n_blocks, self.N, self.p
         # K_b = [D_b; sqrt(lambda2) E_b], stacked so that one batched product
@@ -153,7 +149,6 @@ class FeatureObjective:
         K = np.empty((nb, 2, N, 2, p))
         K[...] = self._work[2:].reshape(2, 2, nb, N, p).transpose(2, 0, 3, 1, 4)
         K[:, 1] *= math.sqrt(self.lambda2)
-        K[..., 1, :] *= self._floor_free[:, None, None, :]
         K = K.reshape(nb, 2 * N, 2 * p)
         H = K.swapaxes(-1, -2) @ K
         H *= np.tile(self.W @ self.W.T, (2, 2))

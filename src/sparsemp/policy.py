@@ -1,17 +1,21 @@
 """JSON policy files: the trained parameters a controller would load.
 
-Schema version 1. The header states each fact once: a primitive's time
-grid is `n_samples` samples `dt` apart from 0, and its metadata is the fit
-record only. A DMP file holds its weights, goal, start, `dt` and `duration`
-(its tau); the gains are constants and the phase basis derives from them.
-Coefficients are stored as sorted active rows plus their values; floats go
-through Python's shortest-repr decimal serialization, which reproduces every
-double bit-exactly on load, so a loaded policy reconstructs bit-identically.
+Schema version 1. The header holds only what the loader reads: a
+primitive's time grid is `n_samples` samples `dt` apart from 0 (its shape
+comes from the arrays), and its metadata is the fit record only. A DMP file
+holds its weights, goal, start, `dt` and `duration` (its tau); the gains are
+constants and the phase basis derives from them. Coefficients are stored as
+sorted active rows plus their values; floats go through Python's
+shortest-repr decimal serialization, which reproduces every double
+bit-exactly on load, so a loaded policy reconstructs bit-identically. A grid
+or coefficient block that cannot describe a policy fails on load with a
+`ValueError` that names the file and the field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -37,9 +41,26 @@ def _coef_block(W: np.ndarray) -> dict:
     }
 
 
+def _check(ok: bool, field: str, need: str) -> None:
+    if not ok:
+        raise ValueError(f"policy field '{field}' must be {need}")
+
+
+def _dt(doc: dict) -> float:
+    dt = float(doc["dt"])
+    _check(math.isfinite(dt) and dt > 0, "dt", "finite and > 0")
+    return dt
+
+
 def _coef_from_block(block: dict) -> np.ndarray:
-    W = np.zeros((block["n_features"], block["n_tasks"]))
-    for i, row in zip(block["active_rows"], block["values"]):
+    p, m = block["n_features"], block["n_tasks"]
+    rows, values = block["active_rows"], block["values"]
+    _check(all(isinstance(i, int) and 0 <= i < p for i in rows),
+           "coefficients.active_rows", "integers in [0, n_features)")
+    _check(len(values) == len(rows) and all(np.shape(v) == (m,) for v in values),
+           "coefficients.values", "one row of n_tasks entries per active row")
+    W = np.zeros((p, m))
+    for i, row in zip(rows, values):
         W[i] = row
     return W
 
@@ -53,10 +74,7 @@ def primitive_to_dict(prim: TrainedPrimitive, ground_truth: bool = False) -> dic
         "schema_version": SCHEMA_VERSION,
         "method": prim.mode,
         "dt": float(prim.dt),
-        "duration": float(prim.duration),
         "n_samples": int(prim.t.size),
-        "n": int(prim.n_dof),
-        "d": int(prim.n_demos),
         "intercepts": _floats(prim.intercepts),
         "centers": _floats(centers),
         "widths": _floats(widths),
@@ -90,15 +108,17 @@ def _basis(doc: dict) -> RbfParams:
 def primitive_from_dict(doc: dict) -> TrainedPrimitive:
     # The header holds the grid; files written before it did keep n_samples
     # in metadata, and ridge files of the older layout lambda2 at top level.
+    # Older files also carry n, d and duration, which derive from the arrays.
     meta = doc["metadata"] if "metadata" in doc else {
         "lambda1": 0.0, "lambda2": doc["lambda2"]}
     n_samples = doc["n_samples"] if "n_samples" in doc else meta["n_samples"]
+    _check(isinstance(n_samples, int) and n_samples >= 2, "n_samples", "an integer >= 2")
     return TrainedPrimitive(
         mode=doc["method"],
         intercepts=np.array(doc["intercepts"]),
         rbf_params=_basis(doc),
         W=_coef_from_block(doc["coefficients"]),
-        t=np.arange(int(n_samples)) * doc["dt"],
+        t=np.arange(n_samples) * _dt(doc),
         metadata=dict(meta),
     )
 
@@ -109,8 +129,6 @@ def dmp_to_dict(model: DmpModel) -> dict:
         "method": "dmp",
         "dt": float(model.dt),
         "duration": float(model.tau),
-        "n": int(model.n_dof),
-        "d": 1,
         "weights": _floats(model.weights),
         "goal": _floats(model.goal),
         "y0": _floats(model.y0),
@@ -118,13 +136,13 @@ def dmp_to_dict(model: DmpModel) -> dict:
 
 
 def dmp_from_dict(doc: dict) -> DmpModel:
-    # Older files also carry tau, the gains and the phase basis; all derive.
+    # Older files also carry n, d, tau, the gains and the phase basis; all derive.
     return DmpModel(
         weights=np.array(doc["weights"]),
         goal=np.array(doc["goal"]),
         y0=np.array(doc["y0"]),
         tau=doc["duration"],
-        dt=doc["dt"],
+        dt=_dt(doc),
     )
 
 
@@ -153,4 +171,6 @@ def load_policy(path):
             return dmp_from_dict(doc)
     except KeyError as err:
         raise ValueError(f"{path}: policy file lacks field {err}") from err
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from err
     raise ValueError(f"unknown method tag {method!r}")

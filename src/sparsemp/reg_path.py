@@ -1,10 +1,12 @@
 """Regularization path over a geometric penalty grid, with feature ranking.
 
 The path starts at the critical penalty (all-zero solution) and descends by
-a fixed ratio, warm-starting each solve from the previous one. The grid
-penalty at which a feature's coefficient row first becomes nonzero orders
-the features by how early they are recruited, which is the importance
-ranking; features entering at the same grid point form one tie group.
+a fixed ratio, warm-starting each solve from the previous one. A path is its
+grid and its coefficients; supports and entry penalties derive from them.
+The grid penalty at which a feature's coefficient row first becomes nonzero
+orders the features by how early they are recruited, which is the
+importance ranking; features entering at the same grid point share an entry
+penalty and are ordered by index.
 """
 
 from __future__ import annotations
@@ -21,15 +23,12 @@ from .elastic_net import AugmentedProblem
 class PathResult:
     lambdas: np.ndarray                 # strictly descending grid
     coefs: list[np.ndarray]             # one p x m matrix per grid point
-    entry_lambda: np.ndarray            # per feature; nan if never active
-    active_sets: list[np.ndarray]
 
 
 @dataclass(frozen=True)
 class FeatureRanking:
     order: list[int]                    # rank 1 first (largest entry penalty)
     entry_lambdas: np.ndarray           # aligned with `order`, non-increasing
-    tie_groups: list[list[int]]         # features entering at the same grid point
 
 
 def compute_path(
@@ -49,10 +48,7 @@ def compute_path(
         raise ValueError("zero target: path undefined (lambda_max = 0)")
     lambdas = np.geomspace(lam_max, ratio * lam_max, n_lambdas)
 
-    p = prob.n_features
     coefs: list[np.ndarray] = []
-    active_sets: list[np.ndarray] = []
-    entry = np.full(p, np.nan)
     W = None
     for lam in lambdas:
         try:
@@ -62,37 +58,20 @@ def compute_path(
         except elastic_net.ConvergenceError as err:
             raise RuntimeError(f"path solve failed at lambda={lam:.6g}") from err
         coefs.append(W.copy())
-        act = elastic_net.active_set(W)
-        active_sets.append(act)
-        newly = act[np.isnan(entry[act])]
-        entry[newly] = lam
-    return PathResult(
-        lambdas=lambdas,
-        coefs=coefs,
-        entry_lambda=entry,
-        active_sets=active_sets,
-    )
+    return PathResult(lambdas=lambdas, coefs=coefs)
 
 
 def rank_features(path: PathResult) -> FeatureRanking:
-    """Order the features active at the smallest penalty by entry penalty."""
-    final_active = path.active_sets[-1]
-    if final_active.size == 0:
+    """Order the features active at the smallest penalty by entry penalty,
+    the first grid penalty at which a feature's row is nonzero."""
+    active = path_row_norms(path) > 0
+    final = np.flatnonzero(active[-1])
+    if final.size == 0:
         raise ValueError("nothing to rank: no active features at the smallest lambda")
-    entries = path.entry_lambda[final_active]
-    order_idx = np.lexsort((final_active, -entries))
-    order = [int(final_active[i]) for i in order_idx]
-    entry_sorted = entries[order_idx]
-
-    tie_groups: list[list[int]] = []
-    group_lambda = None
-    for feat, lam in zip(order, entry_sorted):
-        if tie_groups and lam == group_lambda:
-            tie_groups[-1].append(feat)
-        else:
-            tie_groups.append([feat])
-            group_lambda = lam
-    return FeatureRanking(order=order, entry_lambdas=entry_sorted, tie_groups=tie_groups)
+    entries = path.lambdas[np.argmax(active[:, final], axis=0)]
+    order_idx = np.lexsort((final, -entries))
+    return FeatureRanking(order=[int(final[i]) for i in order_idx],
+                          entry_lambdas=entries[order_idx])
 
 
 def path_row_norms(path: PathResult) -> np.ndarray:

@@ -125,10 +125,6 @@ class TrainedPrimitive:
         return float(self.t[1] - self.t[0])
 
     @property
-    def duration(self) -> float:
-        return float(self.t[-1] - self.t[0])
-
-    @property
     def n_dof(self) -> int:
         return self.intercepts.shape[0]
 

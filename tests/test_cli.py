@@ -269,7 +269,7 @@ class TestTrain:
         old = tmp_path / "ridge_old.json"
         old.write_text(json.dumps({
             "schema_version": 1, "method": "ridge", "dt": model.dt,
-            "duration": model.duration, "n": 2, "d": 1, "n_samples": model.t.size,
+            "duration": (model.t.size - 1) * model.dt, "n": 2, "d": 1, "n_samples": model.t.size,
             "intercepts": model.intercepts.tolist(),
             "centers": model.rbf_params.mu[0].tolist(),
             "widths": model.rbf_params.sigma2[0].tolist(),
@@ -490,11 +490,12 @@ class TestRankEval:
         old = tmp_path / "old.json"
         old.write_text(json.dumps({
             "schema_version": 1, "method": method, "dt": model.dt,
-            "duration": model.duration, "n": 2, "d": len(demos),
+            "duration": (model.t.size - 1) * model.dt, "n": 2, "d": len(demos),
             "intercepts": doc["intercepts"], "centers": doc["centers"],
             "widths": doc["widths"], "coefficients": doc["coefficients"],
             "metadata": {"n_samples": model.t.size, "n_dof": 2, "n_demos": len(demos),
-                         "dt": model.dt, "duration": model.duration, **doc["metadata"]},
+                         "dt": model.dt, "duration": (model.t.size - 1) * model.dt,
+                         **doc["metadata"]},
         }))
         capsys.readouterr()
         assert run("eval", str(new), str(old), "--demos", *demos) == 0

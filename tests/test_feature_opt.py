@@ -99,9 +99,6 @@ class TestFeatureObjective:
         Y = rng.standard_normal((N * n_blocks, m))
         obj = FeatureObjective(t, Y, W, lam2, n_dof_blocks=n_blocks)
         theta = random_theta(p, n_blocks, rng)
-        logs = theta[n_blocks * p:]
-        floored = rng.random(logs.size) < 0.3
-        logs[floored] = np.log(rbf.SIGMA2_MIN) - rng.uniform(0.5, 3.0, floored.sum())
 
         params = obj.decode(theta)
         Phi, Acc = rbf.build_basis(t, params)
@@ -114,13 +111,11 @@ class TestFeatureObjective:
             A = Acc[b * N:(b + 1) * N] @ W
             gmu[b] = -2 * np.sum((dpm.T @ R) * W, 1) + 2 * lam2 * np.sum((dam.T @ A) * W, 1)
             glogs[b] = -2 * np.sum((dpl.T @ R) * W, 1) + 2 * lam2 * np.sum((dal.T @ A) * W, 1)
-        glogs[floored.reshape(n_blocks, p)] = 0.0
         g_oracle = np.concatenate([gmu.ravel(), glogs.ravel()])
 
         f, g = obj.cost_grad(theta)
         assert f == pytest.approx(f_oracle, rel=1e-12)
         np.testing.assert_allclose(g, g_oracle, rtol=1e-10, atol=1e-10 * np.abs(g_oracle).max())
-        assert np.all(g[n_blocks * p:][floored] == 0.0)
 
     def test_caller_owns_the_gradient(self):
         obj, rng = flat_objective(seed=2)
@@ -156,16 +151,13 @@ class TestFeatureObjective:
 
 
 def three_block_objective(seed=7):
-    """(objective, theta): 3 blocks of 3 features, lambda2 > 0, and the
-    second block's second log width below the floor."""
+    """(objective, theta): 3 blocks of 3 features, lambda2 > 0."""
     rng = np.random.default_rng(seed)
     N, p, nb, m = 25, 3, 3, 2
     t = np.linspace(0, 1, N)
     obj = FeatureObjective(t, rng.standard_normal((N * nb, m)),
                            rng.standard_normal((p, m)), 1e-2, n_dof_blocks=nb)
-    theta = random_theta(p, nb, rng)
-    theta[nb * p + p + 1] = feature_opt.LOG_S2_MIN - 1.0
-    return obj, theta
+    return obj, random_theta(p, nb, rng)
 
 
 def block_index(obj, b):
@@ -206,9 +198,8 @@ class TestGaussNewton:
         for b in range(3):
             block = expected[np.ix_(block_index(obj, b), block_index(obj, b))]
             np.testing.assert_allclose(H[b], block, rtol=0, atol=1e-5 * np.abs(block).max())
-        # No curvature between blocks, and none along the floored width.
+        # No curvature between blocks.
         np.testing.assert_array_equal(expected[full == 0.0], 0.0)
-        assert not H[1, 4].any() and not H[1, :, 4].any()
 
     def test_damped_step_solves_each_block(self):
         obj, theta = three_block_objective(seed=8)
@@ -219,7 +210,6 @@ class TestGaussNewton:
         full = block_diagonal(obj, H) + damping * np.eye(obj.theta_size)
         np.testing.assert_allclose(full @ step, -0.5 * g, rtol=0,
                                    atol=1e-10 * np.abs(g).max())
-        assert step[9 + 4] == 0.0  # the floored width does not move
 
     def test_indefinite_block_gives_no_step(self):
         obj, theta = three_block_objective()
@@ -264,6 +254,12 @@ class TestThetaLayout:
             clamped, [-1.0, 2.5, 0.0, feature_opt.LOG_S2_MIN])
         assert clamped is not theta and theta[0] == -5.0
         np.testing.assert_array_equal(obj.clamp([6.0, 1.5, -1.0, -1.0])[:2], [5.0, 1.5])
+
+    def test_clamp_caps_log_widths(self):
+        obj = FeatureObjective(np.linspace(1.0, 3.0, 5), np.zeros((5, 1)),
+                               np.zeros((2, 1)), 0.0)
+        theta = np.array([1.0, 2.0, feature_opt.LOG_S2_MAX + 1.0, 1e300])
+        np.testing.assert_array_equal(obj.clamp(theta)[2:], feature_opt.LOG_S2_MAX)
 
 
 def uphill_objective(seed=0):
@@ -357,6 +353,27 @@ class TestBfgsMinimize:
         result = bfgs_minimize(obj, theta0, max_iters=50)
         assert any(moved)
         assert result.cost <= result.start_cost
+
+    def test_widths_on_the_floor_stay_inside_the_box(self):
+        # A unit spike on a 1 ms grid pulls the width below the floor, where
+        # the clamp holds it: every point the cost sees lies in the box.
+        t = np.linspace(0, 0.04, 41)
+        Y = np.zeros((41, 1))
+        Y[20, 0] = 1.0
+        obj = FeatureObjective(t, Y, np.array([[1.0]]), 0.0)
+        seen, cost_grad = [], obj.cost_grad
+
+        def recording_cost_grad(theta):
+            seen.append(np.array(theta))
+            return cost_grad(theta)
+
+        obj.cost_grad = recording_cost_grad
+        result = bfgs_minimize(obj, np.array([0.02, np.log(1e-4)]))
+        seen = np.array(seen)
+        assert result.theta[1] == feature_opt.LOG_S2_MIN
+        assert np.all((seen[:, 0] >= -0.04) & (seen[:, 0] <= 0.08))
+        assert np.all((seen[:, 1] >= feature_opt.LOG_S2_MIN)
+                      & (seen[:, 1] <= feature_opt.LOG_S2_MAX))
 
     def test_line_search_failure_flagged_without_warning(self):
         obj, theta0 = uphill_objective()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -264,6 +265,34 @@ class TestSchemaGuards:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
+            policy.load_policy(path)
+
+    @pytest.mark.parametrize("keys, value, field", [
+        (("coefficients", "active_rows", 0), -1, "coefficients.active_rows"),
+        (("coefficients", "active_rows", 0), 5, "coefficients.active_rows"),
+        (("coefficients", "values", 0), [1.0], "coefficients.values"),
+        (("n_samples",), 2.5, "n_samples"),
+        (("dt",), float("nan"), "dt"),
+        (("dt",), 0.0, "dt"),
+    ], ids=["negative_row", "row_past_the_end", "short_value_row", "fractional_n_samples",
+            "nan_dt", "zero_dt"])
+    def test_corrupt_grid_or_coefficients_rejected(self, tmp_path, keys, value, field):
+        prim = TrainedPrimitive(
+            mode="lsdp",
+            intercepts=np.zeros(3),
+            rbf_params=RbfParams(mu=[0.1, 0.2], sigma2=[0.05, 0.05]),
+            W=np.arange(6.0).reshape(2, 3),
+            t=np.arange(10) * 0.01,
+        )
+        path = tmp_path / "p.json"
+        policy.save_policy(path, prim)
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: policy field '{field}'")):
             policy.load_policy(path)
 
     def test_unserializable_object_rejected(self, tmp_path):

@@ -51,15 +51,17 @@ class TestComputePath:
         path = compute_path(prob, n_lambdas=200, ratio=1e-3)
         # entry at 2 |phi_j^T y| within one geometric grid step
         step = path.lambdas[0] / path.lambdas[1]
+        ranking = rank_features(path)
+        entry = dict(zip(ranking.order, ranking.entry_lambdas))
         for j, corr in enumerate([3.0, 1.0, 0.5]):
             expected = 2.0 * corr
-            assert path.entry_lambda[j] <= expected
-            assert path.entry_lambda[j] * step ** 2 >= expected
+            assert entry[j] <= expected
+            assert entry[j] * step ** 2 >= expected
 
     def test_monotone_active_sets_orthonormal(self):
         prob = orthonormal_problem([3.0, 2.0, 1.0, 0.5])
         path = compute_path(prob, n_lambdas=50, ratio=1e-3)
-        sizes = [a.size for a in path.active_sets]
+        sizes = [elastic_net.active_set(W).size for W in path.coefs]
         assert sizes == sorted(sizes)
 
     def test_endpoint_matches_cold_start(self):
@@ -115,7 +117,7 @@ class TestLambdaMaxPoint:
         prob = random_problem(N=N, p=p, m=m, seed=seed)
         assert np.all(elastic_net.solve(prob, lambda_max(prob)) == 0.0)
         path = compute_path(prob, n_lambdas=3, ratio=0.5)
-        assert not np.any(path.entry_lambda == path.lambdas[0])
+        assert elastic_net.active_set(path.coefs[0]).size == 0
 
 
 class TestRankFeatures:
@@ -134,19 +136,31 @@ class TestRankFeatures:
         ranking = rank_features(compute_path(prob, n_lambdas=40, ratio=1e-3))
         assert np.all(np.diff(ranking.entry_lambdas) <= 0)
 
-    def test_tie_groups_partition_order(self):
-        prob = random_problem(N=30, p=6, m=2, seed=7)
-        ranking = rank_features(compute_path(prob, n_lambdas=40, ratio=1e-3))
-        flat = [f for group in ranking.tie_groups for f in group]
-        assert flat == ranking.order
-
-    def test_equal_correlation_features_tie(self):
-        # Two orthogonal columns with identical correlation to the target
-        # enter at the same grid point and land in one tie group.
-        prob = orthonormal_problem([2.0, 2.0])
-        path = compute_path(prob, n_lambdas=30, ratio=1e-2, tol=1e-10)
+    def test_equal_entry_penalties_rank_by_index(self):
+        # Features 0 and 2 enter together at the last grid point, feature 2
+        # with the larger row; feature 1 enters before them.
+        path = reg_path.PathResult(
+            lambdas=np.array([8.0, 4.0, 2.0]),
+            coefs=[np.array([[0.0], [0.0], [0.0]]),
+                   np.array([[0.0], [1.0], [0.0]]),
+                   np.array([[0.1], [1.0], [5.0]])],
+        )
         ranking = rank_features(path)
-        assert len(ranking.tie_groups[0]) == 2
+        assert ranking.order == [1, 0, 2]
+        np.testing.assert_array_equal(ranking.entry_lambdas, [4.0, 2.0, 2.0])
+
+    def test_reentering_feature_keeps_its_first_entry_penalty(self):
+        # Feature 0 enters at 4, leaves at 2 and re-enters at 1.
+        path = reg_path.PathResult(
+            lambdas=np.array([8.0, 4.0, 2.0, 1.0]),
+            coefs=[np.array([[0.0, 0.0], [0.0, 0.0]]),
+                   np.array([[1.0, 0.0], [0.0, 0.0]]),
+                   np.array([[0.0, 0.0], [0.0, 3.0]]),
+                   np.array([[0.0, 2.0], [0.0, 3.0]])],
+        )
+        ranking = rank_features(path)
+        assert ranking.order == [0, 1]
+        np.testing.assert_array_equal(ranking.entry_lambdas, [4.0, 2.0])
 
     def test_planted_features_outrank_decoys(self):
         rng = np.random.default_rng(8)
@@ -181,8 +195,6 @@ class TestRankFeatures:
         starved = reg_path.PathResult(
             lambdas=path.lambdas,
             coefs=[np.zeros_like(W) for W in path.coefs],
-            entry_lambda=np.full(1, np.nan),
-            active_sets=[np.array([], dtype=int)] * len(path.coefs),
         )
         with pytest.raises(ValueError, match="nothing to rank"):
             rank_features(starved)
