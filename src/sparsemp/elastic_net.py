@@ -144,12 +144,7 @@ def _certificate(
         Ga = lambda1 * W[active] / row_norms[active, None] - 2.0 * D[active]
         viol[active] = np.linalg.norm(Ga, axis=1)
     top = float(np.max(2.0 * corr, initial=0.0))
-    if top <= lambda1:
-        c = 1.0
-    elif lambda1 == 0.0:
-        c = 0.0
-    else:
-        c = lambda1 / top
+    c = 1.0 if top <= lambda1 else lambda1 / top
     r2 = max(0.0, prob.energy - float(np.sum(W * (prob.corr + D))))
     penalty = lambda1 * float(np.sum(row_norms))
     gap = (1.0 - c) ** 2 * r2 + penalty - 2.0 * c * float(np.sum(W * D))

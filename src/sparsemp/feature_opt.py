@@ -14,7 +14,7 @@ Optimization, ch. 10). Each damped step solves one 2p x 2p system per
 block by Cholesky.
 
 The theta layout lives here only: `FeatureObjective.encode`, `decode`,
-`clamp`, and the block view of `gauss_newton` and `damped_step`.
+`box`, and the block view of `gauss_newton` and `damped_step`.
 
 Each cost/gradient evaluation covers all DoF blocks with one batched kernel
 call (`rbf.basis_and_partials`) into a workspace that `FeatureObjective`
@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack
@@ -78,7 +79,6 @@ class FeatureObjective:
             )
         self.p = self.W.shape[0]
         self._work = np.empty((6, self.n_blocks, self.N, self.p))
-        self.n_evals = 0  # kernel evaluations, one per cost_grad call
 
     @property
     def theta_size(self) -> int:
@@ -102,23 +102,34 @@ class FeatureObjective:
         mus, s2 = self.split_theta(theta)
         return RbfParams(mu=mus, sigma2=s2)
 
-    def clamp(self, theta: np.ndarray) -> np.ndarray:
-        """A copy of theta with the centers clipped to [t_0 - T, t_end + T],
-        T the window length, and the log widths to [LOG_S2_MIN, LOG_S2_MAX]:
-        the refinement's one bound, which every trial point passes through."""
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray]:
+        """The refinement's one bound, (lower, upper) in the theta layout:
+        the centers within [t_0 - T, t_end + T], T the window length, and
+        the log widths within [LOG_S2_MIN, LOG_S2_MAX]."""
         t0, t1 = float(self.t[0]), float(self.t[-1])
         n_mu = self.n_blocks * self.p
-        out = np.array(theta, dtype=float)
-        np.clip(out[:n_mu], t0 - (t1 - t0), t1 + (t1 - t0), out=out[:n_mu])
-        np.clip(out[n_mu:], LOG_S2_MIN, LOG_S2_MAX, out=out[n_mu:])
-        return out
+        return (np.repeat([t0 - (t1 - t0), LOG_S2_MIN], n_mu),
+                np.repeat([t1 + (t1 - t0), LOG_S2_MAX], n_mu))
+
+    def clamp(self, theta: np.ndarray) -> np.ndarray:
+        """A copy of theta clipped to `box`; every trial point passes through."""
+        return np.clip(np.asarray(theta, dtype=float), *self.box)
+
+    def projected_grad_norm(self, theta: np.ndarray, g: np.ndarray) -> float:
+        """The norm of g without the components that point out of `box`
+        where theta sits on its bound, the stationarity measure of the
+        bound-constrained problem (Kanzow, Yamashita & Fukushima 2004, J.
+        Comput. Appl. Math. 172); in the interior it is |g|."""
+        lo, hi = self.box
+        out = ((theta <= lo) & (g > 0)) | ((theta >= hi) & (g < 0))
+        return float(np.linalg.norm(np.where(out, 0.0, g)))
 
     def cost_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and gradient at theta, from one kernel evaluation."""
         theta = np.asarray(theta, dtype=float)
         if theta.size != self.theta_size:
             raise ValueError(f"theta size {theta.size}, expected {self.theta_size}")
-        self.n_evals += 1
         mus, s2 = self.split_theta(theta)
         nb, N, W, lam2 = self.n_blocks, self.N, self.W, self.lambda2
         work = self._work
@@ -176,7 +187,7 @@ class FeatureObjective:
 class BfgsResult:
     theta: np.ndarray
     cost: float
-    grad_norm: float
+    grad_norm: float  # of the projected gradient, `projected_grad_norm`
     n_iters: int
     converged: bool
     line_search_failed: bool  # the damping overflowed: no step lowered the cost
@@ -203,8 +214,9 @@ def bfgs_minimize(
     one kernel evaluation and counts as an iteration.
 
     The run converges when an accepted step lowers the cost by at most
-    COST_TOL_REL of it, or when the gradient norm is at most
-    GRAD_TOL_REL (1 + |f(theta0)|). It fails, flagged
+    COST_TOL_REL of it, or when the projected gradient's norm
+    (`objective.projected_grad_norm`) is at most GRAD_TOL_REL (1 + |f(theta0)|),
+    so a point on the bound of the box can converge. It fails, flagged
     `line_search_failed`, when the damping overflows: no step however
     short lowers the cost. The returned point is the last accepted one, so
     its cost is never above the start cost. The name and the result's
@@ -218,13 +230,13 @@ def bfgs_minimize(
     if max_iters is None:
         max_iters = 100 * max(1, objective.p)
 
-    evals0 = objective.n_evals
     f, g = objective.cost_grad(theta)
+    n_evals = 1
     if not np.isfinite(f):
         raise FloatingPointError("non-finite cost at the initial point")
     f0 = f
     grad_tol = GRAD_TOL_REL * (1.0 + abs(f))
-    converged = np.linalg.norm(g) <= grad_tol
+    converged = objective.projected_grad_norm(theta, g) <= grad_tol
     failed = False
     if not converged:
         H = objective.gauss_newton()
@@ -237,11 +249,12 @@ def bfgs_minimize(
         if delta is not None:
             trial = objective.clamp(theta + delta)
             f_new, g_new = objective.cost_grad(trial)
+            n_evals += 1
         if delta is not None and f_new < f:
             # rho's denominator is the predicted decrease delta'(mu delta - g/2).
             rho = (f - f_new) / float(delta @ (mu * delta - 0.5 * g))
             converged = (f - f_new <= COST_TOL_REL * f
-                         or np.linalg.norm(g_new) <= grad_tol)
+                         or objective.projected_grad_norm(trial, g_new) <= grad_tol)
             theta, f, g = trial, f_new, g_new
             if not converged:
                 H = objective.gauss_newton()
@@ -251,7 +264,6 @@ def bfgs_minimize(
             mu *= nu
             nu *= 2.0
             failed = not math.isfinite(mu)
-    n_evals = objective.n_evals - evals0
     if logger.isEnabledFor(logging.DEBUG):
         exit_kind = "converged" if converged else "line_search" if failed else "max_iters"
         logger.debug("bfgs: dim=%d iters=%d evals=%d exit=%s f=%.6g -> %.6g",
@@ -259,7 +271,7 @@ def bfgs_minimize(
     return BfgsResult(
         theta=theta,
         cost=f,
-        grad_norm=float(np.linalg.norm(g)),
+        grad_norm=objective.projected_grad_norm(theta, g),
         n_iters=it,
         converged=bool(converged),
         line_search_failed=failed,

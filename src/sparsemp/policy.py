@@ -5,21 +5,23 @@ primitive's time grid is `n_samples` samples `dt` apart from 0 (its shape
 comes from the arrays), and its metadata is the fit record only. A DMP file
 holds its weights, goal, start, `dt` and `duration` (its tau); the gains are
 constants and the phase basis derives from them. Coefficients are stored as
-sorted active rows plus their values; floats go through Python's
-shortest-repr decimal serialization, which reproduces every double
-bit-exactly on load, so a loaded policy reconstructs bit-identically. A grid
-or coefficient block that cannot describe a policy fails on load with a
+sorted active rows plus their values; their shape comes from the basis and
+the intercepts. Floats go through Python's shortest-repr decimal
+serialization, which reproduces every double bit-exactly on load, so a
+loaded policy reconstructs bit-identically. A field that cannot describe a
+policy (a bad grid or coefficient block, a value that is not finite, an
+array of the wrong shape, a negative penalty) fails on load with a
 `ValueError` that names the file and the field.
 """
 
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
 from .baselines import DmpModel
+from .elastic_net import active_set
 from .rbf import RbfParams
 from .trainers import TrainedPrimitive
 
@@ -32,13 +34,8 @@ def _floats(a) -> list:
 
 
 def _coef_block(W: np.ndarray) -> dict:
-    active = np.flatnonzero(np.linalg.norm(np.atleast_2d(W), axis=1) > 0)
-    return {
-        "n_features": int(W.shape[0]),
-        "n_tasks": int(W.shape[1]),
-        "active_rows": [int(i) for i in active],
-        "values": _floats(W[active]),
-    }
+    active = active_set(W)
+    return {"active_rows": [int(i) for i in active], "values": _floats(W[active])}
 
 
 def _check(ok: bool, field: str, need: str) -> None:
@@ -46,22 +43,29 @@ def _check(ok: bool, field: str, need: str) -> None:
         raise ValueError(f"policy field '{field}' must be {need}")
 
 
-def _dt(doc: dict) -> float:
-    dt = float(doc["dt"])
-    _check(math.isfinite(dt) and dt > 0, "dt", "finite and > 0")
-    return dt
+def _finite(value, field: str, ok, need: str) -> np.ndarray:
+    """value as a float array (0-d for a number), finite and passing ok."""
+    try:
+        a = np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or too big
+        a = np.array(np.nan)
+    _check(np.isfinite(a).all() and ok(a), field, need)
+    return a
 
 
-def _coef_from_block(block: dict) -> np.ndarray:
-    p, m = block["n_features"], block["n_tasks"]
-    rows, values = block["active_rows"], block["values"]
+def _positive(value, field: str) -> float:
+    return float(_finite(value, field, lambda a: a.ndim == 0 and a > 0, "finite and > 0"))
+
+
+def _coef_from_block(block: dict, p: int, m: int) -> np.ndarray:
+    rows = block["active_rows"]
     _check(all(isinstance(i, int) and 0 <= i < p for i in rows),
-           "coefficients.active_rows", "integers in [0, n_features)")
-    _check(len(values) == len(rows) and all(np.shape(v) == (m,) for v in values),
-           "coefficients.values", "one row of n_tasks entries per active row")
+           "coefficients.active_rows", f"integers in [0, {p})")
+    values = _finite(block["values"], "coefficients.values",
+                     lambda a: a.shape == (len(rows), m) or a.size == len(rows) == 0,
+                     f"one row of {m} finite numbers per active row")
     W = np.zeros((p, m))
-    for i, row in zip(rows, values):
-        W[i] = row
+    W[rows] = values.reshape(len(rows), m)
     return W
 
 
@@ -108,17 +112,24 @@ def _basis(doc: dict) -> RbfParams:
 def primitive_from_dict(doc: dict) -> TrainedPrimitive:
     # The header holds the grid; files written before it did keep n_samples
     # in metadata, and ridge files of the older layout lambda2 at top level.
-    # Older files also carry n, d and duration, which derive from the arrays.
+    # Older files also carry n, d and duration, and their coefficient blocks
+    # n_features and n_tasks: all derive from the arrays.
     meta = doc["metadata"] if "metadata" in doc else {
         "lambda1": 0.0, "lambda2": doc["lambda2"]}
     n_samples = doc["n_samples"] if "n_samples" in doc else meta["n_samples"]
     _check(isinstance(n_samples, int) and n_samples >= 2, "n_samples", "an integer >= 2")
+    for key in ("lambda1", "lambda2"):  # eval and rank read them
+        _finite(meta.get(key, 0.0), f"metadata.{key}", lambda a: a.ndim == 0 and a >= 0,
+                "finite and >= 0")
+    intercepts = _finite(doc["intercepts"], "intercepts", lambda a: a.ndim > 0 and a.size > 0,
+                         "finite, one entry (clsdp: one row) per DoF")
+    params = _basis(doc)
     return TrainedPrimitive(
         mode=doc["method"],
-        intercepts=np.array(doc["intercepts"]),
-        rbf_params=_basis(doc),
-        W=_coef_from_block(doc["coefficients"]),
-        t=np.arange(n_samples) * _dt(doc),
+        intercepts=intercepts,
+        rbf_params=params,
+        W=_coef_from_block(doc["coefficients"], params.n_features, intercepts.shape[-1]),
+        t=np.arange(n_samples) * _positive(doc["dt"], "dt"),
         metadata=dict(meta),
     )
 
@@ -137,13 +148,13 @@ def dmp_to_dict(model: DmpModel) -> dict:
 
 def dmp_from_dict(doc: dict) -> DmpModel:
     # Older files also carry n, d, tau, the gains and the phase basis; all derive.
-    return DmpModel(
-        weights=np.array(doc["weights"]),
-        goal=np.array(doc["goal"]),
-        y0=np.array(doc["y0"]),
-        tau=doc["duration"],
-        dt=_dt(doc),
-    )
+    weights = _finite(doc["weights"], "weights", lambda a: a.ndim == 2 and a.shape[1] >= 2,
+                      "finite, one row of at least 2 weights per DoF")
+    n = weights.shape[0]
+    goal, y0 = (_finite(doc[key], key, lambda a: a.shape == (n,),
+                        f"{n} finite numbers, one per DoF") for key in ("goal", "y0"))
+    return DmpModel(weights=weights, goal=goal, y0=y0,
+                    tau=_positive(doc["duration"], "duration"), dt=_positive(doc["dt"], "dt"))
 
 
 def save_policy(path, model, ground_truth: bool = False) -> None:
@@ -161,16 +172,16 @@ def save_policy(path, model, ground_truth: bool = False) -> None:
 def load_policy(path):
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
     try:
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
         method = doc["method"]
         if method in ("lsdp", "clsdp", "ridge"):
             return primitive_from_dict(doc)
         if method == "dmp":
             return dmp_from_dict(doc)
+        raise ValueError(f"unknown method tag {method!r}")
     except KeyError as err:
         raise ValueError(f"{path}: policy file lacks field {err}") from err
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from err
-    raise ValueError(f"unknown method tag {method!r}")

@@ -503,6 +503,29 @@ class TestRankEval:
         assert row_old == row_new
         np.testing.assert_array_equal(policy.load_policy(old).t, model.t)
 
+    @pytest.mark.parametrize("method", ["lsdp", "clsdp"])
+    def test_coefficient_block_that_states_its_shape_evals_as_a_new_one(
+        self, method, fixture_dir, tmp_path, capsys
+    ):
+        # Older coefficient blocks also held n_features and n_tasks; the
+        # basis and the intercepts fix both.
+        demos = [str(fixture_dir / "demo_1.csv")]
+        if method == "clsdp":
+            demos.append(str(fixture_dir / "demo_2.csv"))
+        new = tmp_path / "new.json"
+        assert run("train", method, *demos, "--out", str(new), "--max-iters", "2") == 0
+        doc, model = json.loads(new.read_text()), policy.load_policy(new)
+        assert sorted(doc["coefficients"]) == ["active_rows", "values"]
+        doc["coefficients"] = {"n_features": int(model.W.shape[0]),
+                               "n_tasks": int(model.W.shape[1]), **doc["coefficients"]}
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(policy.load_policy(old).W, model.W)
+        capsys.readouterr()
+        assert run("eval", str(new), str(old), "--demos", *demos) == 0
+        header, row_new, row_old = capsys.readouterr().out.splitlines()
+        assert row_old == row_new
+
     def test_dmp_file_of_the_older_layout_evals_as_a_new_one(self, fixture_dir, trained,
                                                              tmp_path, capsys):
         # Before, a DMP file also held tau, its gains and its phase basis.

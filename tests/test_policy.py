@@ -3,10 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sparsemp import policy
+from sparsemp import cli, policy
 from sparsemp.baselines import rollout_dmp, train_dmp, train_ridge
 from sparsemp.rbf import RbfParams, StackedRbfParams
 from sparsemp.trainers import (
@@ -295,6 +295,42 @@ class TestSchemaGuards:
         with pytest.raises(ValueError, match=re.escape(f"{path}: policy field '{field}'")):
             policy.load_policy(path)
 
+    @pytest.mark.parametrize("method, keys, value, field", [
+        ("lsdp", ("intercepts", 0), float("nan"), "intercepts"),
+        ("lsdp", ("coefficients", "values", 0, 1), float("inf"), "coefficients.values"),
+        ("lsdp", ("coefficients", "values", 0, 1), [1.0, 2.0], "coefficients.values"),
+        ("lsdp", ("metadata", "lambda1"), float("nan"), "metadata.lambda1"),
+        ("lsdp", ("metadata", "lambda2"), -1.0, "metadata.lambda2"),
+        ("dmp", ("weights", 0, 0), float("nan"), "weights"),
+        ("dmp", ("weights", 1), [1.0, 2.0], "weights"),
+        ("dmp", ("goal", 0), float("inf"), "goal"),
+        ("dmp", ("y0",), [0.0], "y0"),
+        ("dmp", ("duration",), 0.0, "duration"),
+        ("dmp", ("duration",), float("nan"), "duration"),
+    ], ids=["nan_intercept", "inf_value", "ragged_value_row", "nan_lambda1",
+            "negative_lambda2", "nan_dmp_weight", "ragged_dmp_weights", "inf_dmp_goal",
+            "short_dmp_y0", "zero_dmp_duration", "nan_dmp_duration"])
+    def test_non_finite_or_misshapen_value_rejected(self, tmp_path, method, keys, value,
+                                                    field):
+        model = train_dmp(smooth_demo()) if method == "dmp" else TrainedPrimitive(
+            mode="lsdp",
+            intercepts=np.zeros(3),
+            rbf_params=RbfParams(mu=[0.1, 0.2], sigma2=[0.05, 0.05]),
+            W=np.arange(6.0).reshape(2, 3),
+            t=np.arange(10) * 0.01,
+            metadata={"lambda1": 0.1, "lambda2": 1e-4},
+        )
+        path = tmp_path / "p.json"
+        policy.save_policy(path, model)
+        doc = json.loads(path.read_text())
+        target = doc
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: policy field '{field}' must be")):
+            policy.load_policy(path)
+
     def test_unserializable_object_rejected(self, tmp_path):
         with pytest.raises(TypeError):
             policy.save_policy(tmp_path / "x.json", object())
@@ -315,3 +351,72 @@ def test_no_metadata_value_is_an_array():
     config = TrainerConfig(max_outer_iters=2, initial_p=20)
     for prim in (train_lsdp(demo, config), train_clsdp(demos, config), train_ridge(demo)):
         assert arrays_in(prim.metadata) == []
+
+
+@pytest.fixture(scope="module")
+def saved_policies(tmp_path_factory):
+    """(document, demos) of an lsdp, a clsdp, a ridge and a DMP policy file, as
+    `save_policy` writes them, and a directory for edited copies."""
+    demo = smooth_demo(N=60)
+    demos = DemoSet(demos=[demo, JointTrajectory(t=demo.t, Q=demo.Q[::-1].copy())])
+    one = DemoSet(demos=[demo])
+    config = TrainerConfig(max_outer_iters=2, initial_p=10)
+    out = tmp_path_factory.mktemp("policies")
+    saved = []
+    for model, data in ((train_lsdp(demo, config), one), (train_clsdp(demos, config), demos),
+                        (train_ridge(demo), one), (train_dmp(demo), one)):
+        policy.save_policy(out / "p.json", model)
+        saved.append((json.loads((out / "p.json").read_text()), data))
+    return saved, out
+
+
+def numeric_nodes(node, at=()) -> list:
+    """(path, is_list) of every number and every list of numbers in a document."""
+    if isinstance(node, dict):
+        return [x for key, value in node.items() for x in numeric_nodes(value, at + (key,))]
+    if isinstance(node, list):
+        inner = [x for i, value in enumerate(node) for x in numeric_nodes(value, at + (i,))]
+        flat = node and all(type(value) in (int, float) for value in node)
+        return inner + ([(at, True)] if flat else [])
+    return [(at, False)] if type(node) in (int, float) else []
+
+
+def canonical(doc) -> str:
+    # Compared as text: a NaN leaf is "NaN" on both sides, though NaN != NaN.
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestEditedFiles:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_a_file_loads_as_itself_or_names_the_file(self, saved_policies, data):
+        # One number or list of numbers of a saved file is replaced. Either the
+        # load fails with a ValueError that starts with the file's path, or the
+        # policy saves back to the edited document and evaluates to finite numbers.
+        saved, out = saved_policies
+        doc, demos = data.draw(st.sampled_from(saved))
+        doc = json.loads(json.dumps(doc))
+        at, is_list = data.draw(st.sampled_from(numeric_nodes(doc)))
+        target = doc
+        for key in at[:-1]:
+            target = target[key]
+        if is_list:
+            size = len(target[at[-1]])
+            value = [0.5] * data.draw(st.integers(0, size + 2).filter(lambda k: k != size))
+        else:
+            value = data.draw(st.one_of(
+                st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+                st.floats(-5.0, -0.1), st.floats(0.1, 0.9)))
+        target[at[-1]] = value
+        path = out / "edited.json"
+        path.write_text(json.dumps(doc))
+        try:
+            model = policy.load_policy(path)
+        except ValueError as err:
+            assert str(err).startswith(f"{path}: ")
+            return
+        policy.save_policy(out / "back.json", model)
+        assert canonical(json.loads((out / "back.json").read_text())) == canonical(doc)
+        method, *numbers = cli._policy_metrics(model, demos)
+        assert np.all(np.isfinite(numbers))
