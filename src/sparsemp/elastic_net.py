@@ -10,16 +10,17 @@ is solved in covariance form (glmnet's "covariance updates"): block
 coordinate descent and the optimality certificate only ever need the Gram
 matrix G = Phi_a^T Phi_a (p x p), the correlations C = Phi_a^T Y_a and the
 energy ||Y_a||^2, so no step touches a row of the design. Each certificate
-check computes G W afresh. Between checks the sweeps carry, on the
-working-set rows only, the shifted correlations E_w = D_w + diag(G_ww) W_w
-with D_w = C - G W: row k's block target is then e_k itself, and moving
-row k is one rank-one update of E_w by column k of G_ww with its diagonal
-zeroed, which leaves e_k as it is. IRLS takes D_w = E_w - diag(G_ww) W_w
-and works on the nonzero rows' blocks of G, C and D_w, so a step costs no
-more than the working set.
+check computes G W afresh. Rows outside the working set are zero, so the
+sweeps work on a contiguous copy W_w of the working-set rows alone: row k's
+block target is e_k = C_k - G_off[k] W_w, with G_off = G_ww less its
+diagonal, read as one product of the row [-G_off[k], unit row k] with the
+stacked [W_w; C_w]. IRLS takes D_w = C_w - G_ww W_w and works on the
+nonzero rows' blocks of G, C and D_w, so a step costs no more than the
+working set.
 A warm start is first polished by Newton steps on its nonzero rows (a x a
 systems only), which certifies a path point whose support is right unswept;
 if they converged but the support grew, cycles hand off to them before IRLS.
+All linear algebra is NumPy's: every system is small and dense.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import blas, lapack
 
 from .rbf import RbfParams
 
@@ -122,6 +122,11 @@ def objective(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
     return float(np.sum(resid ** 2) + lambda1 * np.sum(np.linalg.norm(W, axis=1)))
 
 
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a 2-D array."""
+    return np.sqrt(np.einsum("ij,ij->i", X, X))
+
+
 def _certificate(
     prob: AugmentedProblem, lambda1: float, W: np.ndarray, GW: np.ndarray
 ) -> tuple[np.ndarray, float, float]:
@@ -136,13 +141,13 @@ def _certificate(
     cancellation against ||Y_a||^2 out of the gap as c approaches 1.
     """
     D = prob.corr - GW
-    corr = np.linalg.norm(D, axis=1)
-    row_norms = np.linalg.norm(W, axis=1)
+    corr = _row_norms(D)
+    row_norms = _row_norms(W)
     active = row_norms > 0
     viol = np.maximum(0.0, 2.0 * corr - lambda1)
     if np.any(active):
         Ga = lambda1 * W[active] / row_norms[active, None] - 2.0 * D[active]
-        viol[active] = np.linalg.norm(Ga, axis=1)
+        viol[active] = _row_norms(Ga)
     top = float(np.max(2.0 * corr, initial=0.0))
     c = 1.0 if top <= lambda1 else lambda1 / top
     r2 = max(0.0, prob.energy - float(np.sum(W * (prob.corr + D))))
@@ -165,22 +170,25 @@ def dual_gap(prob: AugmentedProblem, lambda1: float, W: np.ndarray) -> float:
 
 def _newton_step(G_aa, D_a, W_a, norms, lambda1: float):
     """Gradient g = lambda1 U - 2 D_A of F on the nonzero rows A, u_j = w_j /
-    ||w_j||, and the step d solving H d = -g, or None unless H is SPD. H is
-    M (x) I_m - sum_j c_j e_j e_j^T (x) u_j u_j^T, c_j = lambda1 / ||w_j||, M = 2 G_AA
-    + diag(c); by Woodbury d = M^-1 (-g + diag(z) U), K z = rowdot(U, M^-1 (-g)),
-    a x a systems only. K = diag(1/c) - M^-1 o (U U^T), SPD exactly when H is, is
-    factored as S K S, S = diag(sqrt c), so that lambda1 = 0 needs no special case."""
+    ||w_j||, and the step d solving H d = -g, or None if a system is singular.
+    H is M (x) I_m - sum_j c_j e_j e_j^T (x) u_j u_j^T, c_j = lambda1 / ||w_j||,
+    M = 2 G_AA + diag(c); by Woodbury d = M^-1 (-g + diag(z) U), K z = rowdot(U,
+    M^-1 (-g)), a x a systems only. K = diag(1/c) - M^-1 o (U U^T) is solved as
+    S K S, S = diag(sqrt c), so that lambda1 = 0 needs no special case. H is PSD,
+    so the caller rejects a step whose decrement -g'd is negative."""
     a, U, c = norms.size, W_a / norms[:, None], lambda1 / norms
     grad = lambda1 * U - 2.0 * D_a
-    L, info = lapack.dpotrf(2.0 * G_aa + np.diag(c), overwrite_a=True)
-    if info == 0:
-        M_inv, s = lapack.dpotrs(L, np.eye(a), overwrite_b=True)[0], np.sqrt(c)
-        L, info = lapack.dpotrf(np.eye(a) - np.outer(s, s) * M_inv * (U @ U.T), overwrite_a=True)
-    if info != 0:
+    M = 2.0 * G_aa
+    M.reshape(-1)[:: a + 1] += c
+    SU = np.sqrt(c)[:, None] * U
+    try:
+        M_inv = np.linalg.inv(M)
+        X = M_inv @ -grad
+        SKS = np.subtract(np.eye(a), M_inv * (SU @ SU.T))
+        y = np.linalg.solve(SKS, np.einsum("ij,ij->i", SU, X))
+    except np.linalg.LinAlgError:
         return grad, None
-    X = M_inv @ -grad
-    y = lapack.dpotrs(L, s * np.einsum("ij,ij->i", U, X))[0]
-    return grad, X + M_inv @ ((s * y)[:, None] * U)
+    return grad, X + M_inv @ (y[:, None] * SU)
 
 
 def solve(
@@ -194,14 +202,13 @@ def solve(
 
     Blocks are whole coefficient rows (one feature across all tasks); the
     update of row j needs only D[j] = phi_j^T R = C[j] - (G W)[j]. Cyclic
-    sweeps run over a working set grown by worst KKT violation, carrying the
-    shifted correlations D[j] + G_jj w_j for its rows only, so a block
-    update costs O(|work| m); an IRLS jump on the nonzero rows accelerates
-    near-duplicate designs. Returns once the KKT residual certifies the
-    iterate (kkt_violation <= 10 tol) or the duality gap drops below tol
-    scale; degenerate designs where neither certificate is attainable fall
-    back to a sqrt(tol)-scale gap bound late in the sweep budget. Logs one
-    DEBUG record per call.
+    sweeps run over a working set grown by worst KKT violation, outside which
+    every row is zero, so a block update costs O(|work| m); an IRLS jump on
+    the nonzero rows accelerates near-duplicate designs. Returns once the KKT
+    residual certifies the iterate (kkt_violation <= 10 tol) or the duality
+    gap drops below tol scale; degenerate designs where neither certificate
+    is attainable fall back to a sqrt(tol)-scale gap bound late in the sweep
+    budget. Logs one DEBUG record per call.
 
     A warm start is first polished by Newton steps on its nonzero rows, each
     lowering F without zeroing a row, strictly unless the decrement is at the
@@ -221,35 +228,29 @@ def solve(
         W = np.zeros((p, m))
 
     G, C = prob.gram, prob.corr
-    GW = G @ W
     irls_steps = irls_calls = irls_capped = 0
 
-    def sweep(idx, blocks, E_w, nonzero) -> float:
-        # blocks holds each working-set row's views (W row, E_w row, G_off
-        # column, G_kk). E_w = D_w + diag(G_ww) W_w are the shifted
-        # correlations: row k's block target is e_k = d_k + G_kk w_k read in
-        # place, zero row or not, and moving w_k changes every e_j but its
-        # own, so one rank-one update with the zero-diagonal G_off keeps E_w
-        # current. nonzero flags the rows of W that are not all zero.
-        W_old = W[idx]
-        for k, (w_old, e, g_col, g_kk) in enumerate(blocks):
+    def sweep(W_w, WC, blocks, nonzero) -> float:
+        # W_w is the top half of WC = [W_w; C_w], and blocks holds each
+        # working-set row's (W_w row view, h_k, G_kk) with h_k = [-G_off[k],
+        # unit row k]: row k's block target e_k = d_k + G_kk w_k = C_k -
+        # G_off[k] W_w is the one product h_k WC, zero row or not. nonzero
+        # flags the rows of W_w that are not all zero.
+        W_old = W_w.copy()
+        for k, (w, h, g_kk) in enumerate(blocks):
             if g_kk == 0.0:
                 continue
+            e = h.dot(WC)
             zn = math.sqrt(e.dot(e))
             if 2.0 * zn <= lambda1:  # the row is, or becomes, zero
                 if nonzero[k]:
-                    # E_w -= outer(G_off[:, k], 0 - w_old), in place.
-                    blas.dger(1.0, g_col, w_old, a=E_w, overwrite_a=True)
-                    w_old[...] = 0.0
+                    w[...] = 0.0
                     nonzero[k] = False
                 continue
-            w_new = e * ((1.0 - lambda1 / (2.0 * zn)) / g_kk)
-            # E_w -= outer(G_off[:, k], w_new - w_old), in place.
-            blas.dger(-1.0, g_col, w_new - w_old, a=E_w, overwrite_a=True)
-            w_old[...] = w_new
+            np.multiply(e, (1.0 - lambda1 / (2.0 * zn)) / g_kk, out=w)
             nonzero[k] = True
         # Each row moves at most once per sweep: this is the max |delta|.
-        return float(np.maximum.reduce(np.abs(W[idx] - W_old), axis=None))
+        return float(np.maximum.reduce(np.abs(W_w - W_old), axis=None))
 
     def irls_refine(idx, G_ww, D_w) -> None:
         # Near-duplicate basis columns make plain coordinate descent crawl;
@@ -259,12 +260,12 @@ def solve(
         # still certify optimality, so the minimizer is unchanged. D_w is
         # not written back: the next cycle rebuilds it from a fresh G W.
         nonlocal irls_steps, irls_calls, irls_capped
-        norms = np.linalg.norm(W[idx], axis=1)
+        norms = _row_norms(W[idx])
         a = np.flatnonzero(norms > 0)
         rows, norms, W_a, D_a = idx[a], norms[a], W[idx[a]], D_w[a]
-        G_aa, C_a = G_ww[np.ix_(a, a)], np.asfortranarray(C[idx[a]])
-        # The system matrix G_AA + diag(lambda1 / (2 ||w_j||)) is symmetric,
-        # so LAPACK factors its buffer in place through the transposed view.
+        G_aa, C_a = G_ww[np.ix_(a, a)], C[idx[a]]
+        # The system matrix G_AA + diag(lambda1 / (2 ||w_j||)) is built in
+        # one reused buffer.
         A, half_lam = np.empty_like(G_aa), 0.5 * lambda1
         penalty = lambda1 * float(norms.sum())
         f = prob.energy - float(np.vdot(W_a, C_a + D_a)) + penalty
@@ -273,8 +274,9 @@ def solve(
             steps += 1
             np.copyto(A, G_aa)
             A.reshape(-1)[:: rows.size + 1] += half_lam / norms
-            _, _, W_s, info = lapack.dgesv(A.T, C_a, overwrite_a=True)
-            if info != 0:
+            try:
+                W_s = np.linalg.solve(A, C_a)
+            except np.linalg.LinAlgError:
                 break
             delta = W_s - W_a
             D_trial = D_a - G_aa @ delta
@@ -304,16 +306,16 @@ def solve(
         if not rows.size:
             return "none", 0
         G_aa, C_a, W_a = G[np.ix_(rows, rows)], C[rows], W[rows]
-        D_a, norms = C_a - G_aa @ W_a, np.linalg.norm(W_a, axis=1)
+        D_a, norms = C_a - G_aa @ W_a, _row_norms(W_a)
         f_tol = 1e-15 * (1.0 + abs(prob.energy - float(np.vdot(W_a, C_a + D_a))
                                    + lambda1 * norms.sum()))
         for steps in range(1, NEWTON_MAX_STEPS + 1):
             grad, delta = _newton_step(G_aa, D_a, W_a, norms, lambda1)
-            if delta is None:
+            # H is PSD, so a negative decrement is a numerical failure.
+            if delta is None or (decrement := -float(np.vdot(grad, delta))) < 0.0:
                 return "rejected", steps
-            decrement = -float(np.vdot(grad, delta))
             W_s, D_s = W_a + delta, D_a - G_aa @ delta
-            norms_s = np.linalg.norm(W_s, axis=1)
+            norms_s = _row_norms(W_s)
             # F(W + delta) < F(W) through D as in irls_refine, with ||w + d|| -
             # ||w|| = <2w + d, d> / (||w + d|| + ||w||); at round-off it may fail.
             grow = np.einsum("ij,ij->i", 2.0 * W_a + delta, delta) / (norms_s + norms)
@@ -332,10 +334,7 @@ def solve(
         The gap exits cover degenerate designs where block updates crawl:
         they bound the remaining objective decrease, which callers rely on.
         """
-        # Re-derive GW so the certificate carries no drift from the
-        # incremental updates and agrees with kkt_violation and dual_gap.
-        np.matmul(G, W, out=GW)
-        viol, gap, primal = _certificate(prob, lambda1, W, GW)
+        viol, gap, primal = _certificate(prob, lambda1, W, G @ W)
         worst = int(np.argmax(viol)) if viol.size else 0
         kkt = float(viol[worst]) if viol.size else 0.0
         if kkt <= 10.0 * tol:
@@ -354,11 +353,11 @@ def solve(
                 work.append(j)
         return None, kkt, gap
 
-    work = list(np.flatnonzero(np.linalg.norm(W, axis=1) > 0))
+    work = list(np.flatnonzero(W.any(axis=1)))
     if not work:
         # Seed with the most correlated feature so the first cycle has
         # something to sweep over.
-        work = [int(np.argmax(np.linalg.norm(C, axis=1)))]
+        work = [int(np.argmax(_row_norms(C)))]
 
     # Near-duplicate columns can make the last feature enter at a
     # geometric crawl that never reaches the strict certificate within any
@@ -375,29 +374,30 @@ def solve(
         polish, kind = ("kkt", kind) if kind == "kkt" else ("continued", None)
     handoff, handoffs = polish == "continued", []
     while kind is None and sweeps < max_sweeps:
-        # GW is current here. E_w is Fortran-ordered so that dger updates it
-        # in place; G is symmetric, so row k of G_off is its column k.
+        # W is zero outside work, so G_ww, C_w and W_w hold all a sweep reads.
         idx = np.array(work)
-        G_ww = G[np.ix_(idx, idx)]
+        G_ww, C_w = G[np.ix_(idx, idx)], C[idx]
         g = np.diagonal(G_ww)
-        G_off, W_w = G_ww - np.diag(g), W[idx]
-        E_w = np.asfortranarray(C[idx] - GW[idx] + g[:, None] * W_w)
-        blocks = list(zip([W[j] for j in idx], E_w, G_off, g.tolist()))
+        WC = np.concatenate([W[idx], C_w])
+        W_w = WC[: idx.size]
+        h_rows = np.concatenate([np.diag(g) - G_ww, np.eye(idx.size)], axis=1)
+        blocks = list(zip(W_w, h_rows, g.tolist()))
         nonzero = W_w.any(axis=1).tolist()
         for _ in range(50):
             if sweeps >= max_sweeps:
                 break
             support = list(nonzero)
-            change = sweep(idx, blocks, E_w, nonzero)
+            change = sweep(W_w, WC, blocks, nonzero)
             sweeps += 1
             if change <= tol or (handoff and nonzero == support):
                 break
+        W[idx] = W_w
         if handoff:
             outcome, steps = newton_polish()
             handoffs.append(outcome == "polished")
             newton_steps += steps
         if not (handoff and handoffs[-1]):
-            irls_refine(idx, G_ww, E_w - g[:, None] * W[idx])
+            irls_refine(idx, G_ww, C_w - G_ww @ W_w)
         kind, kkt, gap = certified()
     if kind is None and sweeps == 0:  # no budget: certify the start as it is
         kind, kkt, gap = certified()

@@ -10,8 +10,8 @@ vec(PhiAcc W)], and column j of a block's Phi depends only on feature j's
 center and width. So the Gauss-Newton matrix J'J is block-diagonal over the
 DoF blocks, and within a block it is the Hadamard product of the Gram
 matrix of the parameter partials with W W' (Nocedal & Wright, Numerical
-Optimization, ch. 10). Each damped step solves one 2p x 2p system per
-block by Cholesky.
+Optimization, ch. 10), PSD by the Schur product theorem. Each damped step
+is one batched NumPy solve of the 2p x 2p systems of all blocks.
 
 The theta layout lives here only: `FeatureObjective.encode`, `decode`,
 `box`, and the block view of `gauss_newton` and `damped_step`.
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .rbf import SIGMA2_MIN, RbfParams, basis_and_partials
 
@@ -168,18 +167,19 @@ class FeatureObjective:
     def damped_step(self, H: np.ndarray, g: np.ndarray, damping: float) -> np.ndarray | None:
         """The Levenberg-Marquardt step delta with (H_b + damping I) delta_b =
         -g_b / 2 in every block, in the theta layout; None if a damped block
-        is not numerically positive definite. g is `cost_grad`'s gradient
+        is singular or shows negative curvature (delta_b' rhs_b < 0), which
+        a PSD H never does but round-off can. g is `cost_grad`'s gradient
         and H `gauss_newton`'s matrices."""
         nb, p = self.n_blocks, self.p
-        A = H + damping * np.eye(2 * p)
+        A = H.copy()
+        A.reshape(nb, -1)[:, :: 2 * p + 1] += damping  # the diagonals
         rhs = -0.5 * g.reshape(2, nb, p).swapaxes(0, 1).reshape(nb, 2 * p)
-        step = np.empty((nb, 2 * p))
-        for b in range(nb):
-            # A[b] is symmetric, so its transpose is the Fortran-ordered copy.
-            chol, info = lapack.dpotrf(A[b].T, lower=1, overwrite_a=1)
-            if info != 0:
-                return None
-            step[b], _ = lapack.dpotrs(chol, rhs[b], lower=1)
+        try:
+            step = np.linalg.solve(A, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            return None
+        if (np.einsum("bi,bi->b", step, rhs) < 0.0).any():
+            return None
         return step.reshape(nb, 2, p).swapaxes(0, 1).reshape(-1)
 
 

@@ -9,9 +9,10 @@ sorted active rows plus their values; their shape comes from the basis and
 the intercepts. Floats go through Python's shortest-repr decimal
 serialization, which reproduces every double bit-exactly on load, so a
 loaded policy reconstructs bit-identically. A field that cannot describe a
-policy (a bad grid or coefficient block, a value that is not finite, an
-array of the wrong shape, a negative penalty) fails on load with a
-`ValueError` that names the file and the field.
+policy (a document or metadata that is not a JSON object, a bad grid,
+basis or coefficient block, a value that is not finite, an array of the
+wrong shape, a negative penalty) fails on load with a `ValueError` that
+names the file and the field.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .baselines import DmpModel
 from .elastic_net import active_set
-from .rbf import RbfParams
+from .rbf import SIGMA2_MIN, RbfParams
 from .trainers import TrainedPrimitive
 
 SCHEMA_VERSION = 1
@@ -58,12 +59,14 @@ def _positive(value, field: str) -> float:
 
 
 def _coef_from_block(block: dict, p: int, m: int) -> np.ndarray:
+    _check(isinstance(block, dict), "coefficients", "a JSON object")
     rows = block["active_rows"]
     _check(all(isinstance(i, int) and 0 <= i < p for i in rows),
-           "coefficients.active_rows", f"integers in [0, {p})")
+           "coefficients.active_rows", f"integers in [0, {p}), {p} the features in 'centers'")
     values = _finite(block["values"], "coefficients.values",
                      lambda a: a.shape == (len(rows), m) or a.size == len(rows) == 0,
-                     f"one row of {m} finite numbers per active row")
+                     f"one row of {m} finite numbers per active row, {m} the last axis "
+                     "of 'intercepts'")
     W = np.zeros((p, m))
     W[rows] = values.reshape(len(rows), m)
     return W
@@ -101,11 +104,19 @@ def _jsonable(obj):
 
 
 def _basis(doc: dict) -> RbfParams:
-    """The centers and widths of a policy: flat lists, or one list per DoF."""
-    try:
-        mu, s2 = np.array(doc["centers"], dtype=float), np.array(doc["widths"], dtype=float)
-    except ValueError as err:  # per-DoF lists of different lengths
-        raise ValueError("inconsistent feature counts across DoFs") from err
+    """The centers and widths of a policy: flat lists, or for clsdp one list
+    per DoF, each checked here so that `RbfParams` accepts them."""
+    per_dof = doc["method"] == "clsdp"
+    for key in ("centers", "widths"):
+        lists = doc[key] if per_dof and isinstance(doc[key], list) else []
+        if len({len(row) for row in lists if isinstance(row, list)}) > 1:
+            raise ValueError(f"policy field '{key}' has inconsistent feature counts across DoFs")
+    ndim, layout = (2, "one list per DoF") if per_dof else (1, "a flat list")
+    mu = _finite(doc["centers"], "centers", lambda a: a.ndim == ndim and a.size > 0,
+                 f"finite numbers, {layout}")
+    s2 = _finite(doc["widths"], "widths",
+                 lambda a: a.shape == mu.shape and (a >= SIGMA2_MIN).all(),
+                 f"numbers >= {SIGMA2_MIN}, one per entry of 'centers'")
     return RbfParams(mu=mu, sigma2=s2)
 
 
@@ -116,6 +127,7 @@ def primitive_from_dict(doc: dict) -> TrainedPrimitive:
     # n_features and n_tasks: all derive from the arrays.
     meta = doc["metadata"] if "metadata" in doc else {
         "lambda1": 0.0, "lambda2": doc["lambda2"]}
+    _check(isinstance(meta, dict), "metadata", "a JSON object")
     n_samples = doc["n_samples"] if "n_samples" in doc else meta["n_samples"]
     _check(isinstance(n_samples, int) and n_samples >= 2, "n_samples", "an integer >= 2")
     for key in ("lambda1", "lambda2"):  # eval and rank read them
@@ -173,8 +185,10 @@ def load_policy(path):
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported schema_version {doc.get('schema_version')}")
+        _check(isinstance(doc, dict), "(top level)", "a JSON object")
+        version = doc.get("schema_version")
+        _check(version == SCHEMA_VERSION, "schema_version",
+               f"{SCHEMA_VERSION}, not {version!r}")
         method = doc["method"]
         if method in ("lsdp", "clsdp", "ridge"):
             return primitive_from_dict(doc)

@@ -231,6 +231,10 @@ def drop_a_feature_of_dof_1(doc):
     doc["centers"][0], doc["widths"][0] = doc["centers"][0][:-1], doc["widths"][0][:-1]
 
 
+def drop_a_width_of_dof_1(doc):
+    doc["widths"][0] = doc["widths"][0][:-1]
+
+
 class TestSchemaGuards:
     def test_unsupported_schema_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -249,6 +253,7 @@ class TestSchemaGuards:
     @pytest.mark.parametrize("edit, message", [
         (drop_last_dof, r"intercepts have shape \(2, 3\), expected \(1, 3\)"),
         (drop_a_feature_of_dof_1, "inconsistent feature counts across DoFs"),
+        (drop_a_width_of_dof_1, "policy field 'widths' has inconsistent feature counts"),
     ])
     def test_hand_edited_basis_rejected(self, tmp_path, edit, message):
         prim = TrainedPrimitive(
@@ -307,15 +312,30 @@ class TestSchemaGuards:
         ("dmp", ("y0",), [0.0], "y0"),
         ("dmp", ("duration",), 0.0, "duration"),
         ("dmp", ("duration",), float("nan"), "duration"),
+        ("lsdp", ("centers", 0), float("nan"), "centers"),
+        ("lsdp", ("centers", 1), float("inf"), "centers"),
+        ("lsdp", ("centers", 0), [0.1, 0.2], "centers"),
+        ("lsdp", ("centers",), [[0.1, 0.2]], "centers"),
+        ("lsdp", ("widths", 0), float("nan"), "widths"),
+        ("lsdp", ("widths", 1), 1e-7, "widths"),
+        ("lsdp", ("widths", 1), -0.5, "widths"),
+        ("lsdp", ("widths",), [0.05], "widths"),
+        ("clsdp", ("centers", 1, 0), float("-inf"), "centers"),
+        ("clsdp", ("centers",), [0.1, 0.2], "centers"),
+        ("clsdp", ("widths", 0, 1), 0.0, "widths"),
     ], ids=["nan_intercept", "inf_value", "ragged_value_row", "nan_lambda1",
             "negative_lambda2", "nan_dmp_weight", "ragged_dmp_weights", "inf_dmp_goal",
-            "short_dmp_y0", "zero_dmp_duration", "nan_dmp_duration"])
+            "short_dmp_y0", "zero_dmp_duration", "nan_dmp_duration", "nan_center",
+            "inf_center", "nested_lsdp_center", "per_dof_lsdp_centers", "nan_width",
+            "width_below_the_floor", "negative_width", "short_widths", "inf_clsdp_center",
+            "flat_clsdp_centers", "zero_clsdp_width"])
     def test_non_finite_or_misshapen_value_rejected(self, tmp_path, method, keys, value,
                                                     field):
         model = train_dmp(smooth_demo()) if method == "dmp" else TrainedPrimitive(
-            mode="lsdp",
-            intercepts=np.zeros(3),
-            rbf_params=RbfParams(mu=[0.1, 0.2], sigma2=[0.05, 0.05]),
+            mode=method,
+            intercepts=np.zeros((2, 3)) if method == "clsdp" else np.zeros(3),
+            rbf_params=StackedRbfParams([RbfParams(mu=[0.1, 0.2], sigma2=[0.05, 0.05])]
+                                        * (2 if method == "clsdp" else 1)),
             W=np.arange(6.0).reshape(2, 3),
             t=np.arange(10) * 0.01,
             metadata={"lambda1": 0.1, "lambda2": 1e-4},
@@ -329,6 +349,20 @@ class TestSchemaGuards:
         target[keys[-1]] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(f"{path}: policy field '{field}' must be")):
+            policy.load_policy(path)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: [doc], "(top level)"),
+        (lambda doc: {**doc, "metadata": "x"}, "metadata"),
+        (lambda doc: {**doc, "metadata": [1.0]}, "metadata"),
+        (lambda doc: {**doc, "coefficients": []}, "coefficients"),
+    ], ids=["list_document", "string_metadata", "list_metadata", "list_coefficients"])
+    def test_non_object_rejected(self, tmp_path, edit, field):
+        path = tmp_path / "p.json"
+        policy.save_policy(path, random_primitive(np.random.default_rng(0)))
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: policy field '{field}' must be a JSON object")):
             policy.load_policy(path)
 
     def test_unserializable_object_rejected(self, tmp_path):
@@ -392,8 +426,9 @@ class TestEditedFiles:
     @given(data=st.data())
     def test_a_file_loads_as_itself_or_names_the_file(self, saved_policies, data):
         # One number or list of numbers of a saved file is replaced. Either the
-        # load fails with a ValueError that starts with the file's path, or the
-        # policy saves back to the edited document and evaluates to finite numbers.
+        # load fails with a ValueError that starts with the file's path and
+        # names a field the edit touched, or the policy saves back to the
+        # edited document and evaluates to finite numbers.
         saved, out = saved_policies
         doc, demos = data.draw(st.sampled_from(saved))
         doc = json.loads(json.dumps(doc))
@@ -414,7 +449,10 @@ class TestEditedFiles:
         try:
             model = policy.load_policy(path)
         except ValueError as err:
+            touched = {".".join(key for key in at[:i] if isinstance(key, str))
+                       for i in range(1, len(at) + 1)}
             assert str(err).startswith(f"{path}: ")
+            assert any(f"'{name}'" in str(err) for name in touched), (str(err), at)
             return
         policy.save_policy(out / "back.json", model)
         assert canonical(json.loads((out / "back.json").read_text())) == canonical(doc)
