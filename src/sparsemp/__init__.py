@@ -20,7 +20,6 @@ from .trainers import (
     TrainedPrimitive,
     TrainerConfig,
     evaluate,
-    scale_penalties,
     select_penalties_cv,
     train_clsdp,
     train_lsdp,

@@ -96,7 +96,8 @@ def to_lasso(
     """Augment the design so the acceleration penalty becomes squared loss."""
     if lambda2 < 0:
         raise ValueError("lambda2 must be nonnegative")
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
+    y = y[:, None] if y.ndim == 1 else y  # a single target is one column
     if phi.shape != phi_acc.shape or phi.shape[0] != y.shape[0]:
         raise ValueError(
             f"incompatible shapes: Phi {phi.shape}, PhiAcc {phi_acc.shape}, Y {y.shape}"

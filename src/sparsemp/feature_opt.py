@@ -64,8 +64,10 @@ class FeatureObjective:
         n_dof_blocks: int = 1,
     ):
         self.t = np.asarray(t, dtype=float)
-        self.Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        self.W = np.atleast_2d(np.asarray(W, dtype=float))
+        # A 1-D target or coefficient vector is a single task: one column.
+        Y, W = np.asarray(Y, dtype=float), np.asarray(W, dtype=float)
+        self.Y = Y[:, None] if Y.ndim == 1 else Y
+        self.W = W[:, None] if W.ndim == 1 else W
         if lambda2 < 0:
             raise ValueError("lambda2 must be nonnegative")
         self.lambda2 = float(lambda2)

@@ -2,9 +2,12 @@
 
 The loop repeats: refine basis parameters by Levenberg-Marquardt at fixed
 coefficients (`feature_opt.bfgs_minimize`), re-solve the multi-task elastic
-net at fixed basis, rescale the penalties with the squared residual ratio,
-prune dead features. The two models run the same loop and differ only in
-the data layout `training_data` builds: the single-demonstration variant
+net at fixed basis, anneal the penalties, prune dead features. After
+iteration k both penalties are their initial values times
+max((r_k / r_0)^2, PENALTY_FLOOR_FACTOR), r_k the fit residual and r_0 that
+of the opening regression, so they settle exactly when the residual does.
+The two models run the same loop and differ only in the data layout
+`training_data` builds: the single-demonstration variant
 shares one basis across the DoFs and fits one coefficient column per DoF;
 the coupled variant stacks demonstrations DoF-major so the columns are
 demonstrations and the basis adapts per DoF, making the coefficient count
@@ -26,7 +29,7 @@ from .trajectory import DemoSet, JointTrajectory
 
 logger = logging.getLogger(__name__)
 
-PENALTY_FLOOR_FACTOR = 1e-12
+PENALTY_FLOOR_FACTOR = 1e-12  # the anneal never takes a penalty below this share
 DESCENT_SLACK = 1e-7
 INITIAL_SIGMA2 = 0.1
 # Looser than the solver's own default: the every-sample initialization
@@ -141,21 +144,6 @@ class FitReport:
     total_cost: float
 
 
-def scale_penalties(
-    lambda1: float,
-    lambda2: float,
-    r_k: float,
-    r_prev: float,
-    lambda1_floor: float = 0.0,
-    lambda2_floor: float = 0.0,
-) -> tuple[float, float]:
-    """Rescale both penalties by the squared residual ratio, with floors."""
-    if r_prev <= 0:
-        raise ValueError("previous residual must be positive")
-    ratio = (r_k / r_prev) ** 2
-    return max(lambda1 * ratio, lambda1_floor), max(lambda2 * ratio, lambda2_floor)
-
-
 def training_data(
     data: JointTrajectory | DemoSet,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -197,6 +185,12 @@ def _uniform_basis(mu0: np.ndarray, n_blocks: int) -> RbfParams:
                      sigma2=np.full((n_blocks, mu0.size), INITIAL_SIGMA2))
 
 
+def penalty_scale(r_k: float, r_0: float) -> float:
+    """The factor on both initial penalties after an iteration with residual
+    r_k: max((r_k / r_0)^2, PENALTY_FLOOR_FACTOR), r_0 the opening residual."""
+    return max((r_k / max(r_0, np.finfo(float).tiny)) ** 2, PENALTY_FLOOR_FACTOR)
+
+
 def _fit(
     t: np.ndarray,
     Y: np.ndarray,
@@ -231,19 +225,19 @@ def _fit(
     )
     lam2 = config.lambda2 if config.lambda2 is not None else 1e-6 * lam1
     record.update(lambda1=lam1, lambda2=lam2, lambda1_init=lam1, lambda2_init=lam2)
-    floor1 = PENALTY_FLOOR_FACTOR * lam1
-    floor2 = PENALTY_FLOOR_FACTOR * lam2
+    lam1_init, lam2_init = lam1, lam2
 
     prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)
-    W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS)
+    try:
+        W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS)
+    except elastic_net.ConvergenceError as err:
+        raise TrainingError(f"initial regression: {err}") from err
+    f_k = elastic_net.objective(prob, lam1, W)
+    r_k = r_0 = float(np.linalg.norm(Y - Phi @ W))
     try:
         W, params = elastic_net.prune(W, params)
     except EmptyModelError as err:
         raise EmptyModelError(f"{err} (initial regression)") from err
-    Phi, PhiAcc = rbf.build_basis(t, params)
-    prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)
-    f_prev = elastic_net.objective(prob, lam1, W)
-    r_prev = float(np.linalg.norm(Y - Phi @ W))
 
     trace = record["trace"]
     for k in range(1, config.max_outer_iters + 1):
@@ -271,6 +265,7 @@ def _fit(
         W = W_new
 
         r_k = float(np.linalg.norm(Y - Phi @ W))
+        converged = abs(f_after_en - f_k) < config.epsilon
         f_k = f_after_en
         trace.append({
             "iteration": k,
@@ -287,21 +282,18 @@ def _fit(
             "lambda1": lam1,
         })
         logger.debug(ITERATION_RECORD, trace[-1])
-        converged = abs(f_k - f_prev) < config.epsilon
 
         record.update(lambda1=lam1, lambda2=lam2)  # the penalties W was fit with
-        lam1, lam2 = scale_penalties(lam1, lam2, r_k, max(r_prev, np.finfo(float).tiny),
-                                     floor1, floor2)
+        scale = penalty_scale(r_k, r_0)
+        lam1, lam2 = lam1_init * scale, lam2_init * scale
         try:
             W, params = elastic_net.prune(W, params)
         except EmptyModelError as err:
             raise EmptyModelError(f"{err} (iteration {k})") from err
-
-        f_prev, r_prev = f_k, r_k
         if converged:
             break
 
-    record.update(final_cost=f_prev, res_norm=r_prev, n_outer_iters=len(trace))
+    record.update(final_cost=f_k, res_norm=r_k, n_outer_iters=len(trace))
     return params, W, record
 
 
@@ -416,7 +408,6 @@ def select_penalties_cv(
             test = block_rows(test_idx)
             prob = elastic_net.to_lasso(Phi[train], PhiAcc[train], Y[train], lam2)
             W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS)
-            elastic_net.prune(W, params)  # raises on empty
             fold_resid.append(np.linalg.norm(Y[test] - Phi[test] @ W))
         scores.append(float(np.mean(fold_resid)))
     best = int(np.argmin(scores))

@@ -133,6 +133,11 @@ class TestTrainRidge:
         assert (evaluate(heavy, heavy.t, demo.Q)[1].acc_norm
                 < evaluate(light, light.t, demo.Q)[1].acc_norm)
 
+    def test_unpenalized_rank_deficient_basis_rejected(self):
+        # 5 samples cannot determine 10 basis weights without the penalty
+        with pytest.raises(np.linalg.LinAlgError, match="rank-deficient basis"):
+            train_ridge(smooth_demo(N=5), n_basis=10, lambda2=0.0)
+
     def test_negative_penalty_rejected(self):
         with pytest.raises(ValueError):
             train_ridge(smooth_demo(), lambda2=-1.0)

@@ -233,6 +233,17 @@ class TestTrain:
         md = policy.load_policy(out).metadata
         assert (md["lambda1_init"], md["lambda2_init"]) in cli.CV_GRID
 
+    def test_cv_folds_survive_grid_penalties_that_empty_the_model(self, tmp_path):
+        # 1e-3 rad amplitude: the grid's larger lambda1 prune every feature
+        t = np.arange(60) * 0.01
+        demo = tmp_path / "faint.csv"
+        save_trajectory_csv(demo, JointTrajectory(
+            t=t, Q=1e-3 * np.column_stack([np.sin(np.pi * t / 1.2), t / 0.6])))
+        out = tmp_path / "lsdp.json"
+        assert run("train", "lsdp", str(demo), "--out", str(out),
+                   "--cv-folds", "3", "--max-iters", "2") == 0
+        assert policy.load_policy(out).metadata["lambda1_init"] < 1.0
+
     def test_dmp_reports_params_per_dof(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "dmp.json"
         code = run(

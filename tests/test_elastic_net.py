@@ -76,13 +76,22 @@ class TestToLasso:
                 rng.standard_normal((5, 1)),
                 0.0,
             )
-        with pytest.raises(ValueError, match="incompatible"):  # a 1-D target
+        with pytest.raises(ValueError, match=r"incompatible.*Y \(6, 1\)"):  # a 1-D target
             to_lasso(
                 rng.standard_normal((5, 2)),
                 rng.standard_normal((5, 2)),
-                rng.standard_normal(5),
+                rng.standard_normal(6),
                 0.0,
             )
+
+    def test_one_dimensional_target_is_one_column(self):
+        rng = np.random.default_rng(4)
+        phi, acc, y = (rng.standard_normal(shape) for shape in ((20, 3), (20, 3), 20))
+        column = to_lasso(phi, acc, y[:, None], 0.5)
+        flat = to_lasso(phi, acc, y, 0.5)
+        np.testing.assert_array_equal(flat.y_a, column.y_a)
+        np.testing.assert_array_equal(flat.phi_a, column.phi_a)
+        assert flat.n_tasks == 1
 
 
 class TestLambdaMax:

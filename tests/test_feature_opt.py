@@ -39,6 +39,22 @@ class TestFeatureObjective:
         obj = FeatureObjective(t, Y, W, 1e-4, n_dof_blocks=3)
         assert obj.theta_size == 24
 
+    def test_negative_lambda2_rejected(self):
+        with pytest.raises(ValueError, match="lambda2 must be nonnegative"):
+            FeatureObjective(np.linspace(0, 1, 10), np.zeros((10, 1)), np.ones((2, 1)), -1e-3)
+
+    def test_theta_of_another_size_rejected(self):
+        obj, rng = flat_objective(p=3)
+        with pytest.raises(ValueError, match="theta size 4, expected 6"):
+            obj.cost_grad(random_theta(2, 1, rng))
+
+    def test_nan_theta_rejected(self):
+        obj, rng = flat_objective(p=3)
+        theta = random_theta(3, 1, rng)
+        theta[4] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite basis values"):
+            obj.cost_grad(theta)
+
     def test_row_count_checked(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="rows"):
@@ -48,6 +64,19 @@ class TestFeatureObjective:
                 rng.standard_normal((3, 2)),
                 0.0,
             )
+
+    def test_one_dimensional_target_and_coefficients_are_one_column(self):
+        rng = np.random.default_rng(5)
+        t, y, w = np.linspace(0, 1, 10), rng.standard_normal(10), rng.standard_normal(3)
+        flat = FeatureObjective(t, y, w, 1e-3)
+        column = FeatureObjective(t, y[:, None], w[:, None], 1e-3)
+        assert flat.p == 3 and flat.Y.shape == (10, 1) and flat.W.shape == (3, 1)
+        theta = column.encode(RbfParams(mu=[0.2, 0.5, 0.8], sigma2=[0.05] * 3))
+        np.testing.assert_array_equal(flat.encode(column.decode(theta)), theta)
+        f, g = flat.cost_grad(theta)
+        f_col, g_col = column.cost_grad(theta)
+        assert f == f_col
+        np.testing.assert_array_equal(g, g_col)
 
     def test_cost_matches_direct_evaluation(self):
         obj, rng = flat_objective(seed=1)
@@ -413,6 +442,13 @@ class TestBfgsMinimize:
         obj, _ = flat_objective()
         with pytest.raises(ValueError, match="non-finite"):
             bfgs_minimize(obj, np.full(obj.theta_size, np.nan))
+
+    def test_non_finite_start_cost_rejected(self):
+        obj, rng = flat_objective()
+        overflowing = FeatureObjective(obj.t, 1e300 * obj.Y, obj.W, obj.lambda2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite cost at the initial point"):
+            bfgs_minimize(overflowing, random_theta(3, 1, rng))
 
     def test_zero_coefficients_flat_objective(self):
         # With W = 0 the cost is constant in theta: the run stops at once.

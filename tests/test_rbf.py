@@ -47,6 +47,17 @@ class TestRbfParams:
         with pytest.raises(ValueError, match="sigma2_min"):
             RbfParams(mu=np.array([0.0]), sigma2=np.array([1e-9]))
 
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError, match=r"inconsistent parameter shapes: \(1, 2\), \(1, 3\)"):
+            RbfParams(mu=np.array([0.0, 0.5]), sigma2=np.full(3, 0.1))
+
+    @pytest.mark.parametrize("field", ["mu", "sigma2"])
+    def test_nan_rejected(self, field):
+        values = {"mu": np.array([0.0, 0.5]), "sigma2": np.full(2, 0.1)}
+        values[field][1] = np.nan
+        with pytest.raises(ValueError, match="non-finite basis parameters"):
+            RbfParams(**values)
+
     def test_theta_round_trip(self):
         params = random_params(p=4, seed=1)
         back = round_trip(params)

@@ -11,8 +11,8 @@ from sparsemp.trainers import (
     TrainedPrimitive,
     TrainerConfig,
     evaluate,
+    penalty_scale,
     reconstruct,
-    scale_penalties,
     select_penalties_cv,
     train_clsdp,
     train_lsdp,
@@ -58,29 +58,74 @@ class TestTrainerConfig:
 
 
 class TestScalePenalties:
+    """penalty_scale: the factor on both initial penalties."""
+
     def test_unchanged_when_residual_constant(self):
-        assert scale_penalties(2.0, 3.0, 1.5, 1.5) == (2.0, 3.0)
+        assert penalty_scale(1.5, 1.5) == 1.0
 
     def test_half_residual_quarters_penalties(self):
-        lam1, lam2 = scale_penalties(2.0, 4.0, 0.5, 1.0)
-        assert lam1 == pytest.approx(0.5)
-        assert lam2 == pytest.approx(1.0)
+        assert penalty_scale(0.5, 1.0) == 0.25
 
     def test_monotone_under_shrinking_residuals(self):
-        lam1, lam2 = 1.0, 1.0
-        r = [4.0, 3.0, 2.0, 1.0]
-        for r_prev, r_k in zip(r, r[1:]):
-            new1, new2 = scale_penalties(lam1, lam2, r_k, r_prev)
-            assert new1 <= lam1 and new2 <= lam2
-            lam1, lam2 = new1, new2
+        scales = [penalty_scale(r_k, 4.0) for r_k in (4.0, 3.0, 2.0, 1.0)]
+        assert scales == sorted(scales, reverse=True)
+        assert scales[-1] == 1.0 / 16
 
-    def test_floor_applies(self):
-        lam1, lam2 = scale_penalties(1.0, 1.0, 1e-12, 1.0, 1e-6, 1e-6)
-        assert lam1 == 1e-6 and lam2 == 1e-6
 
-    def test_zero_previous_residual_rejected(self):
-        with pytest.raises(ValueError):
-            scale_penalties(1.0, 1.0, 1.0, 0.0)
+class TestAnneal:
+    """After iteration k the penalties are their initial values times
+    max((r_k / r_0)^2, PENALTY_FLOOR_FACTOR)."""
+
+    def test_penalties_follow_squared_residual_ratio(self, small_fixture):
+        prim = train_lsdp(small_fixture[0].demos[0], small_config(max_outer_iters=8))
+        md, trace = prim.metadata, prim.metadata["trace"]
+        assert len(trace) == 8 and trace[0]["lambda1"] == md["lambda1_init"]
+        # row k holds the penalty iteration k was fit with, set by residual k-1
+        for k in range(1, len(trace) - 1):
+            ratio = trace[k + 1]["lambda1"] / trace[k]["lambda1"]
+            expected = (trace[k]["res_norm"] / trace[k - 1]["res_norm"]) ** 2
+            assert ratio == pytest.approx(expected, rel=1e-12)
+        assert trace[-1]["lambda1"] < trace[1]["lambda1"] < md["lambda1_init"]
+        assert md["lambda2"] / md["lambda2_init"] == pytest.approx(
+            md["lambda1"] / md["lambda1_init"], rel=1e-12)
+
+    def test_floor_bounds_the_anneal(self, small_fixture, monkeypatch):
+        demo, config = small_fixture[0].demos[0], small_config(max_outer_iters=6)
+        free = [row["lambda1"] for row in train_lsdp(demo, config).metadata["trace"]]
+        monkeypatch.setattr(trainers, "PENALTY_FLOOR_FACTOR", 0.05)
+        md = train_lsdp(demo, config).metadata
+        floor = 0.05 * md["lambda1_init"]
+        floored = [row["lambda1"] for row in md["trace"]]
+        # the floor first binds on the penalty of iteration 3
+        assert free[1] > floor > free[2]
+        assert floored[:2] == free[:2]
+        assert floored[2:] == [floor] * 4
+        assert md["lambda2"] == 0.05 * md["lambda2_init"]
+
+    def test_basis_built_once_per_iteration_after_the_opening_fit(
+        self, small_fixture, monkeypatch
+    ):
+        counts = {"build_basis": 0, "to_lasso": 0}
+
+        def counting(module, name):
+            func = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        counting(trainers.rbf, "build_basis")
+        counting(trainers.elastic_net, "to_lasso")
+        for iters in (0, 3):
+            counts.update(build_basis=0, to_lasso=0)
+            prim = train_lsdp(small_fixture[0].demos[0],
+                              small_config(max_outer_iters=iters, bfgs_max_iters=2))
+            n = prim.metadata["n_outer_iters"]
+            assert n == iters
+            # lambda_max and the opening solve share one basis
+            assert counts == {"build_basis": n + 1, "to_lasso": n + 2}
 
 
 def shifted(demos: DemoSet, t0: float, dt: float) -> DemoSet:
@@ -194,6 +239,21 @@ class TestTrainLsdp:
             assert row["bfgs_evals"] >= row["bfgs_iters"]
 
 
+class TestTrainedPrimitive:
+    def test_coefficient_rows_must_match_the_features(self):
+        params = RbfParams(mu=np.array([0.1, 0.2]), sigma2=np.full(2, 0.05))
+        with pytest.raises(ValueError, match="coefficient rows and feature count disagree"):
+            TrainedPrimitive(mode="lsdp", intercepts=np.zeros(2), rbf_params=params,
+                             W=np.zeros((3, 2)), t=np.arange(5) * 0.1)
+
+    @pytest.mark.parametrize("mode", ["lsdp", "ridge"])
+    def test_one_basis_block_outside_clsdp(self, mode):
+        params = RbfParams(mu=np.zeros((2, 3)), sigma2=np.full((2, 3), 0.05))
+        with pytest.raises(ValueError, match=f"{mode} shares one basis block, got 2"):
+            TrainedPrimitive(mode=mode, intercepts=np.zeros(2), rbf_params=params,
+                             W=np.zeros((3, 2)), t=np.arange(5) * 0.1)
+
+
 class TestFitPenalties:
     """A policy records the penalties its coefficients were fit with."""
 
@@ -249,7 +309,8 @@ class TestRestarts:
 
 
 class TestTrainingError:
-    """A failed elastic-net step names the outer iteration it failed in."""
+    """A failed elastic-net step names the outer iteration it failed in, or the
+    initial regression."""
 
     @staticmethod
     def patch_warm_solve(monkeypatch, warm_solve):
@@ -267,6 +328,13 @@ class TestTrainingError:
         self.patch_warm_solve(monkeypatch, np.zeros_like)
         with pytest.raises(trainers.TrainingError,
                            match="iteration 1: elastic net increased the cost"):
+            train_lsdp(small_fixture[0].demos[0], small_config(bfgs_max_iters=2))
+
+    def test_initial_regression_convergence_failure(self, small_fixture, monkeypatch):
+        monkeypatch.setattr(trainers, "MAX_SWEEPS", 0)
+        with pytest.raises(trainers.TrainingError,
+                           match="initial regression: coordinate descent did not "
+                                 "converge in 0 sweeps"):
             train_lsdp(small_fixture[0].demos[0], small_config(bfgs_max_iters=2))
 
     def test_solver_convergence_failure(self, small_fixture, monkeypatch):
@@ -405,7 +473,20 @@ class TestReconstructEvaluate:
         assert rec.shape == (demos.n_samples, demos.n_dof, demos.n_demos)
 
 
+def faint_demo() -> JointTrajectory:
+    """60 samples of 1e-3 rad amplitude: lambda_max is about 0.014."""
+    t = np.arange(60) * 0.01
+    return JointTrajectory(t=t, Q=1e-3 * np.column_stack([np.sin(np.pi * t / 1.2), t / 0.6]))
+
+
 class TestSelectPenaltiesCv:
+    def test_a_penalty_that_empties_the_folds_scores_the_zero_model(self):
+        demo = faint_demo()
+        # above lambda_max every fold is empty: both score the mean ||Y_test||
+        assert select_penalties_cv(demo, [(1.0, 1e-6), (10.0, 1e-6)], folds=3) == (1.0, 1e-6)
+        assert select_penalties_cv(demo, [(10.0, 1e-6), (1.0, 1e-6)], folds=3) == (10.0, 1e-6)
+        assert select_penalties_cv(demo, [(1.0, 1e-6), (1e-3, 1e-6)], folds=3) == (1e-3, 1e-6)
+
     def test_returns_grid_member_deterministically(self, small_fixture):
         demos, _ = small_fixture
         demo = demos.demos[0]

@@ -48,12 +48,20 @@ class TestJointTrajectory:
         with pytest.raises(ValueError, match="non-finite"):
             JointTrajectory(t=np.array([0.0, 0.1]), Q=np.array([[np.nan], [0.0]]))
 
+    def test_rejects_time_grid_of_another_length(self):
+        with pytest.raises(ValueError, match=r"disagree: \(3,\) vs \(2, 1\)"):
+            JointTrajectory(t=np.array([0.0, 0.1, 0.2]), Q=np.zeros((2, 1)))
+
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             JointTrajectory(t=np.array([0.0]), Q=np.zeros((1, 1)))
 
 
 class TestDemoSet:
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="need at least one demonstration"):
+            DemoSet(demos=[])
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="incompatible"):
             DemoSet(demos=[make_traj(N=10), make_traj(N=12)])
@@ -112,6 +120,10 @@ class TestStacking:
         traj = JointTrajectory(t=np.array([0.0, 0.1]), Q=Q)
         stacked = stack_demoset(DemoSet(demos=[traj]))
         np.testing.assert_array_equal(stacked.Y[:, 0], [1.0, 3.0, 2.0, 4.0])
+
+    def test_row_count_checked(self):
+        with pytest.raises(ValueError, match="stacked matrix has 5 rows, expected 6"):
+            trajectory.StackedData(Y=np.zeros((5, 2)), n_samples=3, n_dof=2)
 
     def test_row_index_map(self):
         demos = DemoSet(demos=[make_traj(N=5, n=3, seed=j) for j in range(2)])
@@ -199,6 +211,21 @@ class TestSegmentation:
         _, peaks = segment_demonstrations(stream, 2, 1.0)
         assert abs(peaks[0] - peaks[1]) >= 500
 
+    @pytest.mark.parametrize("count, window, message", [
+        (0, 1.0, "demonstration count must be >= 1"),
+        (1, 0.0, "window must be positive"),
+        (1, 0.002, "window of 0.002 s holds fewer than 2 samples"),
+    ])
+    def test_invalid_request_rejected(self, count, window, message):
+        with pytest.raises(ValueError, match=message):
+            segment_demonstrations(self.spike_stream([1.0]), count, window)
+
+    def test_stream_shorter_than_one_window_errors(self):
+        stream = self.spike_stream([0.5], N=400)
+        with pytest.raises(SegmentationError,
+                           match="stream shorter than one window: found 0 of 1"):
+            segment_demonstrations(stream, 1, 1.0)
+
     def test_too_few_peaks_errors(self):
         stream = self.spike_stream([2.0], N=2000)
         with pytest.raises(SegmentationError, match="fewer than 5"):
@@ -280,6 +307,10 @@ class TestSynthDemoset:
         b, _ = synth_demoset(n_demos=2, n_dof=2, n_samples=50, k_features=3, seed=9)
         for da, db in zip(a.demos, b.demos):
             np.testing.assert_array_equal(da.Q, db.Q)
+
+    def test_needs_a_planted_feature(self):
+        with pytest.raises(ValueError, match="need at least one planted feature"):
+            synth_demoset(n_demos=1, n_dof=1, n_samples=50, k_features=0)
 
     def test_noise_free_single_bump(self):
         demos, truth = synth_demoset(
