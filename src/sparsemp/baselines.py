@@ -94,18 +94,16 @@ def train_dmp(
 def rollout_dmp(
     model: DmpModel,
     duration: float | None = None,
-    dt: float | None = None,
     y0_override: np.ndarray | None = None,
     g_override: np.ndarray | None = None,
 ) -> JointTrajectory:
     """Integrate the canonical and transformation systems (explicit Euler)."""
-    dt = model.dt if dt is None else dt
-    duration = model.tau if duration is None else duration
-    if dt <= 0 or duration <= 0:
-        raise ValueError("dt and duration must be positive")
+    dt, tau = model.dt, model.tau
+    duration = tau if duration is None else duration
+    if duration <= 0:
+        raise ValueError("duration must be positive")
     y = (model.y0 if y0_override is None else np.asarray(y0_override, float)).copy()
     g = model.goal if g_override is None else np.asarray(g_override, float)
-    tau = model.tau
 
     centers, widths = _phase_basis(model.n_basis, ALPHA_X, tau)
     n_steps = int(round(duration / dt))

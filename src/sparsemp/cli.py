@@ -101,9 +101,9 @@ def cmd_synth(args) -> int:
 def cmd_segment(args) -> int:
     _require(args.count >= 1, "--count must be >= 1")
     _require(args.window > 0, "--window must be positive")
-    _require(args.rate > 0, "--rate must be positive")
+    _require(args.rate is None or args.rate > 0, "--rate must be positive")
     stream = trajectory.load_trajectory_csv(args.input)
-    if abs(stream.dt - 1.0 / args.rate) > 1e-6:
+    if args.rate is not None and abs(stream.dt - 1.0 / args.rate) > 1e-6:
         raise ValueError(
             f"stream sampled at dt={stream.dt:.6g}, --rate says {1.0 / args.rate:.6g}"
         )
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--window", type=float, default=1.0)
-    p.add_argument("--rate", type=float, default=500.0)
+    p.add_argument("--rate", type=float, default=None)  # default: the stream's rate
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", help="train a movement primitive")

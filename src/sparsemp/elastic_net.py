@@ -39,10 +39,16 @@ logger = logging.getLogger(__name__)
 TOL_PRUNE = 1e-10  # coefficient rows at or below this norm are pruned
 IRLS_MAX_STEPS = 100  # per irls_refine call
 NEWTON_MAX_STEPS = 8  # per newton_polish call
+MAX_SWEEPS = 20_000  # per solve call
+# Near-duplicate columns can make the last feature enter at a crawl that never
+# reaches the strict certificate. After this many sweeps without one, a duality
+# gap at the sqrt(tol) scale -- still a hard bound on the remaining objective
+# decrease -- is accepted instead of burning the budget on negligible progress.
+LOOSE_AFTER = 500
 
 
 class ConvergenceError(RuntimeError):
-    """Sweep budget exhausted; carries the last iterate and its KKT residual."""
+    """MAX_SWEEPS sweeps spent; carries the last iterate and its KKT residual."""
 
     def __init__(self, message: str, W: np.ndarray, kkt: float):
         super().__init__(message)
@@ -196,7 +202,6 @@ def solve(
     prob: AugmentedProblem,
     lambda1: float,
     tol: float = 1e-8,
-    max_sweeps: int = 10_000,
     warm_start: np.ndarray | None = None,
 ) -> np.ndarray:
     """Block coordinate descent with group soft-thresholding, in Gram form.
@@ -208,8 +213,8 @@ def solve(
     the nonzero rows accelerates near-duplicate designs. Returns once the KKT
     residual certifies the iterate (kkt_violation <= 10 tol) or the duality
     gap drops below tol scale; degenerate designs where neither certificate
-    is attainable fall back to a sqrt(tol)-scale gap bound late in the sweep
-    budget. Logs one DEBUG record per call.
+    is attainable fall back to a sqrt(tol)-scale gap bound after LOOSE_AFTER
+    sweeps. Logs one DEBUG record per call.
 
     A warm start is first polished by Newton steps on its nonzero rows, each
     lowering F without zeroing a row, strictly unless the decrement is at the
@@ -342,7 +347,7 @@ def solve(
             return "kkt", kkt, gap
         if gap <= tol * (1.0 + abs(primal)):
             return "gap", kkt, gap
-        if sweeps >= loose_after and gap <= np.sqrt(tol) * (1.0 + abs(primal)):
+        if sweeps >= LOOSE_AFTER and gap <= np.sqrt(tol) * (1.0 + abs(primal)):
             return "loose", kkt, gap
         # Grow the working set by every strong violator (up to 10 per
         # cycle) so entry is not serialized one feature per cycle.
@@ -360,13 +365,6 @@ def solve(
         # something to sweep over.
         work = [int(np.argmax(_row_norms(C)))]
 
-    # Near-duplicate columns can make the last feature enter at a
-    # geometric crawl that never reaches the strict certificate within any
-    # reasonable budget. Once a solve has gone hundreds of sweeps (or its
-    # whole budget) without certifying, a duality gap at the sqrt(tol) scale
-    # -- still a hard bound on the remaining objective decrease -- is
-    # accepted instead of burning the budget on negligible progress.
-    loose_after = min(max_sweeps, max(50, min(500, max_sweeps // 4)))
     sweeps = 0
     kind = None
     polish, newton_steps = newton_polish()
@@ -374,7 +372,7 @@ def solve(
         kind, kkt, gap = certified()
         polish, kind = ("kkt", kind) if kind == "kkt" else ("continued", None)
     handoff, handoffs = polish == "continued", []
-    while kind is None and sweeps < max_sweeps:
+    while kind is None and sweeps < MAX_SWEEPS:
         # W is zero outside work, so G_ww, C_w and W_w hold all a sweep reads.
         idx = np.array(work)
         G_ww, C_w = G[np.ix_(idx, idx)], C[idx]
@@ -384,9 +382,7 @@ def solve(
         h_rows = np.concatenate([np.diag(g) - G_ww, np.eye(idx.size)], axis=1)
         blocks = list(zip(W_w, h_rows, g.tolist()))
         nonzero = W_w.any(axis=1).tolist()
-        for _ in range(50):
-            if sweeps >= max_sweeps:
-                break
+        for _ in range(min(50, MAX_SWEEPS - sweeps)):
             support = list(nonzero)
             change = sweep(W_w, WC, blocks, nonzero)
             sweeps += 1
@@ -400,8 +396,6 @@ def solve(
         if not (handoff and handoffs[-1]):
             irls_refine(idx, G_ww, C_w - G_ww @ W_w)
         kind, kkt, gap = certified()
-    if kind is None and sweeps == 0:  # no budget: certify the start as it is
-        kind, kkt, gap = certified()
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug("solve: p=%d polish=%s newton_steps=%d sweeps=%d irls_steps=%d "
                      "irls_capped=%d/%d handoffs=%d/%d exit=%s kkt=%.3e gap=%.3e", p,
@@ -410,7 +404,7 @@ def solve(
     if kind is not None:
         return W
     raise ConvergenceError(
-        f"coordinate descent did not converge in {max_sweeps} sweeps "
+        f"coordinate descent did not converge in {MAX_SWEEPS} sweeps "
         f"(KKT violation {kkt:.3e})",
         W=W,
         kkt=kkt,

@@ -36,7 +36,6 @@ def compute_path(
     n_lambdas: int = 100,
     ratio: float = 1e-3,
     tol: float = 1e-8,
-    max_sweeps: int = 10_000,
 ) -> PathResult:
     """Warm-started homotopy from lambda_max down to ratio * lambda_max."""
     if n_lambdas < 2:
@@ -52,9 +51,7 @@ def compute_path(
     W = None
     for lam in lambdas:
         try:
-            W = elastic_net.solve(
-                prob, lam, tol=tol, max_sweeps=max_sweeps, warm_start=W
-            )
+            W = elastic_net.solve(prob, lam, tol=tol, warm_start=W)
         except elastic_net.ConvergenceError as err:
             raise RuntimeError(f"path solve failed at lambda={lam:.6g}") from err
         coefs.append(W.copy())

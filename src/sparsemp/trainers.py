@@ -36,7 +36,6 @@ INITIAL_SIGMA2 = 0.1
 # makes the design nearly rank-deficient, where a 1e-8 certificate is
 # out of reach of any sweep budget.
 SOLVE_TOL = 1e-6
-MAX_SWEEPS = 20_000
 # One DEBUG record per outer iteration, filled from its trace row.
 ITERATION_RECORD = (
     "fit: iteration=%(iteration)d n_features=%(n_features)d "
@@ -56,9 +55,9 @@ class TrainingError(RuntimeError):
 class TrainerConfig:
     """Knobs of the alternating loop; None means derive a default.
 
-    The solver tolerance, sweep budget and initial width are the module
-    constants SOLVE_TOL, MAX_SWEEPS and INITIAL_SIGMA2; pruning uses
-    `elastic_net.TOL_PRUNE`, and the basis refinement stops on
+    The solver tolerance and initial width are the module constants
+    SOLVE_TOL and INITIAL_SIGMA2; the sweep budget is `elastic_net.MAX_SWEEPS`,
+    pruning uses `elastic_net.TOL_PRUNE`, and the basis refinement stops on
     `feature_opt.COST_TOL_REL` (the square root of SOLVE_TOL) or
     `feature_opt.GRAD_TOL_REL`. `bfgs_max_iters` caps that refinement's
     Levenberg-Marquardt iterations; it keeps the name of the BFGS it replaced.
@@ -229,7 +228,7 @@ def _fit(
 
     prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)
     try:
-        W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS)
+        W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL)
     except elastic_net.ConvergenceError as err:
         raise TrainingError(f"initial regression: {err}") from err
     f_k = elastic_net.objective(prob, lam1, W)
@@ -251,9 +250,7 @@ def _fit(
         prob = elastic_net.to_lasso(Phi, PhiAcc, Y, lam2)
         f_before_en = elastic_net.objective(prob, lam1, W)
         try:
-            W_new = elastic_net.solve(
-                prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS, warm_start=W,
-            )
+            W_new = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, warm_start=W)
         except elastic_net.ConvergenceError as err:
             raise TrainingError(f"iteration {k}: {err}") from err
         f_after_en = elastic_net.objective(prob, lam1, W_new)
@@ -382,6 +379,8 @@ def select_penalties_cv(
 
     Folds are contiguous blocks of time samples; the fit uses the initial
     (uniform) features only, matching the regression that opens training.
+    Pairs whose lambda1 is at or above the full data's lambda_max on that
+    basis are never picked: training would prune every feature.
     """
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -395,6 +394,10 @@ def select_penalties_cv(
         raise ValueError("degenerate fold: fewer than 2 samples")
     params = _uniform_basis(_initial_centers(t, config), n_blocks)
     Phi, PhiAcc = rbf.build_basis(t, params)
+    lam_max = elastic_net.lambda_max(elastic_net.to_lasso(Phi, PhiAcc, Y, 0.0))
+    grid = [pair for pair in grid if pair[0] < lam_max]
+    if not grid:
+        raise ValueError(f"every grid lambda1 is at or above lambda_max = {lam_max:.6g}")
 
     def block_rows(sample_idx):
         return np.concatenate([sample_idx + N * b for b in range(n_blocks)])
@@ -407,7 +410,7 @@ def select_penalties_cv(
             train = block_rows(np.setdiff1d(np.arange(N), test_idx))
             test = block_rows(test_idx)
             prob = elastic_net.to_lasso(Phi[train], PhiAcc[train], Y[train], lam2)
-            W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL, max_sweeps=MAX_SWEEPS)
+            W = elastic_net.solve(prob, lam1, tol=SOLVE_TOL)
             fold_resid.append(np.linalg.norm(Y[test] - Phi[test] @ W))
         scores.append(float(np.mean(fold_resid)))
     best = int(np.argmin(scores))

@@ -275,10 +275,12 @@ def synth_demoset(
 
 def load_trajectory_csv(path) -> JointTrajectory:
     """Read a `time,q1,...,qn` delimited file (seconds, radians)."""
-    data = np.genfromtxt(path, delimiter=",", names=True)
+    data = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
     names = data.dtype.names
     if names is None or names[0] != "time":
         raise ValueError(f"{path}: expected header 'time,q1,...,qn'")
+    if data.size < 2:
+        raise ValueError(f"{path}: need at least 2 samples, got {data.size}")
     cols = np.stack([data[name] for name in names], axis=1)
     if np.any(~np.isfinite(cols)):
         raise ValueError(f"{path}: missing or non-numeric samples are rejected")

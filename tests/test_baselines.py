@@ -88,9 +88,7 @@ class TestRolloutDmp:
 
     def test_invalid_rollout_args(self):
         model = train_dmp(smooth_demo())
-        with pytest.raises(ValueError):
-            rollout_dmp(model, dt=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duration must be positive"):
             rollout_dmp(model, duration=-1.0)
 
 

@@ -90,6 +90,17 @@ class TestSegment:
         )
         assert code == 2
 
+    def test_rate_defaults_to_the_stream_rate(self, fixture_dir, tmp_path):
+        # the fixture stream is sampled at 100 Hz
+        cuts = {}
+        for name, flags in (("given", ["--rate", "100"]), ("omitted", [])):
+            cuts[name] = tmp_path / name
+            assert run("segment", str(fixture_dir / "stream.csv"),
+                       "--out-dir", str(cuts[name]), "--count", "2",
+                       "--window", "0.6", *flags) == 0
+        for demo in ("demo_1.csv", "demo_2.csv"):
+            assert (cuts["omitted"] / demo).read_bytes() == (cuts["given"] / demo).read_bytes()
+
     def test_rate_mismatch_fails(self, fixture_dir, tmp_path):
         code = run(
             "segment", str(fixture_dir / "stream.csv"),
@@ -243,6 +254,24 @@ class TestTrain:
         assert run("train", "lsdp", str(demo), "--out", str(out),
                    "--cv-folds", "3", "--max-iters", "2") == 0
         assert policy.load_policy(out).metadata["lambda1_init"] < 1.0
+
+    def test_cv_folds_never_pick_a_lambda1_that_empties_the_model(self, tmp_path):
+        # one full sine period of 1e-3 rad: with 2 contiguous folds, grid
+        # penalties above lambda_max score best on held-out data
+        t = np.arange(60) * 0.01
+        demo = tmp_path / "faint.csv"
+        save_trajectory_csv(demo, JointTrajectory(
+            t=t, Q=1e-3 * np.sin(2 * np.pi * t / t[-1])))
+        out = tmp_path / "lsdp.json"
+        assert run("train", "lsdp", str(demo), "--out", str(out),
+                   "--cv-folds", "2", "--max-iters", "2") == 0
+        assert policy.load_policy(out).metadata["n_outer_iters"] >= 1
+
+    def test_one_sample_demo_fails_naming_the_file(self, tmp_path, capsys):
+        demo = tmp_path / "one.csv"
+        demo.write_text("time,q1\n0.0,1.0\n")
+        assert run("train", "lsdp", str(demo), "--out", str(tmp_path / "x.json")) == 1
+        assert "one.csv: need at least 2 samples, got 1" in capsys.readouterr().err
 
     def test_dmp_reports_params_per_dof(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "dmp.json"

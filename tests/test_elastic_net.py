@@ -178,22 +178,14 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve(random_problem(), -0.1)
 
-    def test_sweep_budget_error_carries_iterate(self):
+    def test_sweep_budget_error_carries_iterate(self, monkeypatch):
+        monkeypatch.setattr(elastic_net, "MAX_SWEEPS", 1)
         prob = random_problem(N=20, p=5, m=2, seed=11)
         lam = 0.1 * lambda_max(prob)
-        with pytest.raises(ConvergenceError) as err:
-            solve(prob, lam, tol=1e-14, max_sweeps=1)
+        with pytest.raises(ConvergenceError, match="in 1 sweeps") as err:
+            solve(prob, lam, tol=1e-14)
         assert err.value.W.shape == (5, 2)
         assert err.value.kkt > 0
-
-    def test_zero_sweep_budget_certifies_the_start_as_it_is(self):
-        prob = random_problem(N=20, p=5, m=2, seed=11)
-        lam_max = lambda_max(prob)
-        for factor in (1.0, 2.0):
-            W = solve(prob, factor * lam_max, max_sweeps=0)
-            assert W.shape == (5, 2) and not W.any()
-        with pytest.raises(ConvergenceError, match="in 0 sweeps"):
-            solve(prob, 0.5 * lam_max, max_sweeps=0)
 
 
 def one_center_per_sample(shift: float = 0.0, dead: int | None = None) -> AugmentedProblem:
@@ -248,14 +240,14 @@ class TestSolvePinned:
     def test_cold_then_warm_on_shifted_basis(self, shift, dead, value, support, caplog):
         prob = one_center_per_sample()
         lam = 1e-3 * lambda_max(prob)
-        W = solve(prob, lam, tol=1e-6, max_sweeps=20_000)
+        W = solve(prob, lam, tol=1e-6)
         assert objective(prob, lam, W) == pytest.approx(9.089168205716733, rel=1e-9)
         assert active_set(W).tolist() == [0, 12, 13, 14, 27, 29, 30, 39]
         assert exit_kind(prob, lam, 1e-6, W) == "loose"
 
         shifted = one_center_per_sample(shift, dead)
         W, fields = solve_record(
-            caplog, shifted, lam, tol=1e-6, max_sweeps=20_000, warm_start=W)
+            caplog, shifted, lam, tol=1e-6, warm_start=W)
         assert objective(shifted, lam, W) == pytest.approx(value, rel=1e-9)
         assert active_set(W).tolist() == support
         assert exit_kind(shifted, lam, 1e-6, W) == "loose"
@@ -284,7 +276,7 @@ class TestPathPinned:
     def test_warm_started_path(self, caplog):
         prob = one_center_per_sample()
         with caplog.at_level(logging.DEBUG, logger="sparsemp.elastic_net"):
-            path = compute_path(prob, n_lambdas=5, tol=1e-6, max_sweeps=20_000)
+            path = compute_path(prob, n_lambdas=5, tol=1e-6)
         records = [dict(re.findall(r"(\w+)=(\S+)", r.getMessage())) for r in caplog.records]
         assert len(records) == len(self.POINTS)
         for lam, W, fields, (value, support, counts) in zip(
@@ -354,7 +346,7 @@ class TestSolveTelemetry:
         else:
             prob, tol = one_center_per_sample(), 1e-6
             lam = 1e-3 * lambda_max(prob)
-        W, fields = solve_record(caplog, prob, lam, tol=tol, max_sweeps=20_000)
+        W, fields = solve_record(caplog, prob, lam, tol=tol)
         assert fields["exit"] == exit_kind(prob, lam, tol, W)
         assert float(fields["kkt"]) == pytest.approx(
             kkt_violation(prob, lam, W), rel=1e-3)

@@ -87,24 +87,25 @@ class TestComputePath:
         with pytest.raises(ValueError):
             compute_path(prob, ratio=1.5)
 
-    def test_failed_solve_names_its_lambda(self):
-        # no sweep budget: lambda_max's zero certifies as it is, the next
-        # grid point cannot
+    def test_failed_solve_names_its_lambda(self, monkeypatch):
+        # a one-sweep budget: lambda_max's zero certifies after one sweep,
+        # the next grid point cannot
+        monkeypatch.setattr(elastic_net, "MAX_SWEEPS", 1)
         prob = random_problem()
         second = np.geomspace(lambda_max(prob), 1e-3 * lambda_max(prob), 10)[1]
         with pytest.raises(RuntimeError, match=f"path solve failed at lambda={second:.6g}"):
-            compute_path(prob, n_lambdas=10, max_sweeps=0)
+            compute_path(prob, n_lambdas=10)
 
-    def test_warm_starts_save_sweeps(self):
+    def test_warm_starts_save_sweeps(self, monkeypatch):
         # A sweep budget the warm-started path traverses within, but that a
         # solve from zero at some grid point exhausts.
+        monkeypatch.setattr(elastic_net, "MAX_SWEEPS", 15)
         prob = random_problem(N=40, p=8, m=3, seed=5)
-        budget = 15
-        path = compute_path(prob, n_lambdas=30, ratio=1e-2, max_sweeps=budget)
+        path = compute_path(prob, n_lambdas=30, ratio=1e-2)
         assert len(path.coefs) == 30
-        with pytest.raises(elastic_net.ConvergenceError):
+        with pytest.raises(elastic_net.ConvergenceError, match="in 15 sweeps"):
             for lam in path.lambdas:
-                elastic_net.solve(prob, lam, max_sweeps=budget)
+                elastic_net.solve(prob, lam)
 
 
 class TestLambdaMaxPoint:

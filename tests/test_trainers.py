@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemp import elastic_net, feature_opt, policy, rbf, trainers
+from sparsemp import cli, elastic_net, feature_opt, policy, rbf, trainers
 from sparsemp.elastic_net import EmptyModelError
 from sparsemp.rbf import RbfParams, StackedRbfParams
 from sparsemp.trainers import (
@@ -331,10 +331,10 @@ class TestTrainingError:
             train_lsdp(small_fixture[0].demos[0], small_config(bfgs_max_iters=2))
 
     def test_initial_regression_convergence_failure(self, small_fixture, monkeypatch):
-        monkeypatch.setattr(trainers, "MAX_SWEEPS", 0)
+        monkeypatch.setattr(elastic_net, "MAX_SWEEPS", 1)
         with pytest.raises(trainers.TrainingError,
                            match="initial regression: coordinate descent did not "
-                                 "converge in 0 sweeps"):
+                                 "converge in 1 sweeps"):
             train_lsdp(small_fixture[0].demos[0], small_config(bfgs_max_iters=2))
 
     def test_solver_convergence_failure(self, small_fixture, monkeypatch):
@@ -479,13 +479,28 @@ def faint_demo() -> JointTrajectory:
     return JointTrajectory(t=t, Q=1e-3 * np.column_stack([np.sin(np.pi * t / 1.2), t / 0.6]))
 
 
+def opening_lambda_max(demo: JointTrajectory) -> float:
+    """lambda_max of the regression that opens training with the default config."""
+    t, Y, _, _ = training_data(demo)
+    params = RbfParams(mu=t, sigma2=np.full(t.size, trainers.INITIAL_SIGMA2))
+    return elastic_net.lambda_max(elastic_net.to_lasso(*rbf.build_basis(t, params), Y, 0.0))
+
+
 class TestSelectPenaltiesCv:
-    def test_a_penalty_that_empties_the_folds_scores_the_zero_model(self):
+    def test_never_picks_a_lambda1_at_or_above_lambda_max(self):
+        # One full sine period of 1e-3 rad in 2 contiguous folds: each
+        # held-out half is predicted worse than by the zero model, so a
+        # lambda1 that empties the model would win.
+        t = np.arange(60) * 0.01
+        sine = JointTrajectory(t=t, Q=1e-3 * np.sin(2 * np.pi * t / t[-1]))
+        lam1, lam2 = select_penalties_cv(sine, cli.CV_GRID, folds=2)
+        assert (lam1, lam2) in cli.CV_GRID and lam1 < opening_lambda_max(sine)
+
         demo = faint_demo()
-        # above lambda_max every fold is empty: both score the mean ||Y_test||
-        assert select_penalties_cv(demo, [(1.0, 1e-6), (10.0, 1e-6)], folds=3) == (1.0, 1e-6)
-        assert select_penalties_cv(demo, [(10.0, 1e-6), (1.0, 1e-6)], folds=3) == (10.0, 1e-6)
         assert select_penalties_cv(demo, [(1.0, 1e-6), (1e-3, 1e-6)], folds=3) == (1e-3, 1e-6)
+        message = f"every grid lambda1 is at or above lambda_max = {opening_lambda_max(demo):.6g}"
+        with pytest.raises(ValueError, match=message):
+            select_penalties_cv(demo, [(1.0, 1e-6), (10.0, 1e-6)], folds=3)
 
     def test_returns_grid_member_deterministically(self, small_fixture):
         demos, _ = small_fixture

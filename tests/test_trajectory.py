@@ -362,3 +362,11 @@ class TestCsvRoundTrip:
         path.write_text("time,q1\n0.0,1.0\n0.01,\n0.02,3.0\n")
         with pytest.raises(ValueError, match="rejected"):
             load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("rows, count", [("0.0,1.0\n", 1), ("", 0)], ids=["one", "none"])
+    def test_fewer_than_two_samples_named_with_the_file(self, rows, count, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("time,q1\n" + rows)
+        with pytest.raises(ValueError, match=f"short.csv: need at least 2 samples, "
+                                             f"got {count}"):
+            load_trajectory_csv(path)
